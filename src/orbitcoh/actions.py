@@ -86,20 +86,11 @@ class ActionReport:
                      if not self._is_identity_or_twist(r))
 
 
-def _nonzero_elements(pres: AlgebraPresentation, q: int) -> list[Element]:
-    basis = pres.degree_basis(q)
-    out = []
-    for mask in range(1, 2 ** len(basis)):
-        out.append(Element(pres, frozenset(
-            m for i, m in enumerate(basis) if mask >> i & 1)))
-    return out
-
-
 def enumerate_candidates(pres: AlgebraPresentation) -> list[EndoCandidate]:
     """All assignments of nonzero equal-degree images to the generators."""
     if pres.top_degree is None:
         raise ValueError("candidate enumeration needs a finite algebra")
-    pools = [[(g.name, e) for e in _nonzero_elements(pres, g.degree)]
+    pools = [[(g.name, e) for e in pres.nonzero_elements(g.degree)]
              for g in pres.generators]
     out = []
 
@@ -176,7 +167,7 @@ def bredon_obstruction(pres: AlgebraPresentation, cand: EndoCandidate,
         if apply_candidate(pres, cand, mono) != pres.element([mono]):
             raise ObstructionInapplicable(
                 f"candidate is not the identity in degree {2 * l}")
-    for a in _nonzero_elements(pres, l):
+    for a in pres.nonzero_elements(l):
         product = a * apply_candidate(pres, cand, a)
         if product:
             return ObstructionWitness(a, product)

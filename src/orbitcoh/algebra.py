@@ -280,6 +280,13 @@ class AlgebraPresentation:
     def element(self, monos) -> "Element":
         return Element(self, self.normal_form(monos))
 
+    def nonzero_elements(self, q: int) -> list["Element"]:
+        """Every nonzero element of degree ``q``, one per bit mask 1, 2, 3, ...
+        over ``degree_basis(q)`` (bit i picks basis monomial i)."""
+        basis = self.degree_basis(q)
+        return [Element(self, frozenset(m for i, m in enumerate(basis) if mask >> i & 1))
+                for mask in range(1, 2 ** len(basis))]
+
     def to_vector(self, elem: "Element", q: int) -> np.ndarray:
         index = self.basis_index(q)
         vec = np.zeros(len(index), dtype=np.uint8)

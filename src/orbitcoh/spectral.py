@@ -16,10 +16,15 @@ subquotient bookkeeping plus three guards that are *checked*, never
 assumed: compatibility of the derivation with every fiber relation, square
 zero, and representative independence.
 
-Window discipline: columns ``0..p_window`` are computed and cells with
-``p + q < p_window`` are exact at every page; the fringe beyond that bound
-may be distorted by truncation and is flagged in grid renderings.  The
-default window is wide enough that every verdict reads exact cells only.
+Stable columns: every differential is linear over ``F2[t]``, and
+multiplication by ``t`` maps each column of E_2 isomorphically onto the
+next, so on every page the columns far enough to the right all agree.  A
+page stores columns ``0..S`` and column ``S`` stands for every later column.
+E_2 is the same in every column, so S = 0 there.  An active d_r joins
+column p to column p + r, so column p' of the next page is fixed by columns
+p' and p' - r of this one; both are column S once p' >= S + r, so S grows
+by r on each active page and stays put on the others.  Every cell and every
+total degree is therefore exact.
 """
 
 from __future__ import annotations
@@ -115,24 +120,18 @@ class Cell:
 class Page:
     fiber: AlgebraPresentation
     r: int
-    p_window: int
+    stable: int                         # column S: it stands for every p >= S
     fiber_top: int
-    cells: dict[tuple[int, int], Cell]
+    cells: dict[tuple[int, int], Cell]  # columns 0..stable only
 
     def cell(self, p: int, q: int) -> Cell | None:
-        return self.cells.get((p, q))
+        return self.cells.get((min(p, self.stable), q))
 
     def dim(self, p: int, q: int) -> int:
-        cell = self.cells.get((p, q))
+        cell = self.cell(p, q)
         return cell.dim if cell is not None else 0
 
-    def exact_total_degree(self) -> int:
-        """Cells with p + q strictly below this are unaffected by truncation."""
-        return self.p_window
-
     def total_dimension(self, j: int) -> int:
-        if j >= self.exact_total_degree():
-            raise ValueError(f"total degree {j} lies outside the certified window")
         return sum(self.dim(p, j - p) for p in range(0, j + 1))
 
 
@@ -149,41 +148,29 @@ class CaseVerdict:
         return self.assignment.case_id
 
 
-def build_e2(fiber: AlgebraPresentation, p_window: int) -> Page:
-    """Tensor-product starting page over columns ``0..p_window``."""
+def build_e2(fiber: AlgebraPresentation) -> Page:
+    """Tensor-product starting page: column 0, which every column repeats."""
     if fiber.top_degree is None:
         raise SpectralModelError("the fiber algebra must be finite-dimensional")
     fiber_top = fiber.top_degree
     cells = {}
-    for p in range(p_window + 1):
-        for q in range(fiber_top + 1):
-            ambient = len(fiber.degree_basis(q))
-            if ambient == 0:
-                continue
-            full = gf2.Subspace.full(ambient)
-            cells[(p, q)] = Cell(full, gf2.Subspace.zero(ambient),
-                                 np.eye(ambient, dtype=np.uint8))
-    return Page(fiber, 2, p_window, fiber_top, cells)
+    for q in range(fiber_top + 1):
+        ambient = len(fiber.degree_basis(q))
+        if ambient == 0:
+            continue
+        cells[(0, q)] = Cell(gf2.Subspace.full(ambient), gf2.Subspace.zero(ambient),
+                             np.eye(ambient, dtype=np.uint8))
+    return Page(fiber, 2, 0, fiber_top, cells)
 
 
 # -- assignment enumeration ----------------------------------------------------
 
 
-def _nonzero_vectors(n: int):
-    for mask in range(1, 2 ** n):
-        yield [i for i in range(n) if mask >> i & 1]
-
-
 def _generator_choices(fiber: AlgebraPresentation, gen) -> list[TransgressionTarget | None]:
     choices: list[TransgressionTarget | None] = [None]
     for r in range(2, gen.degree + 2):
-        target_q = gen.degree + 1 - r
-        basis = fiber.degree_basis(target_q)
-        if not basis:
-            continue
-        for picks in _nonzero_vectors(len(basis)):
-            elem = Element(fiber, frozenset(basis[i] for i in picks))
-            choices.append(TransgressionTarget(r, elem))
+        choices.extend(TransgressionTarget(r, elem)
+                       for elem in fiber.nonzero_elements(gen.degree + 1 - r))
     return choices
 
 
@@ -280,13 +267,15 @@ def differential_value(fiber: AlgebraPresentation,
 
 
 def _derivation_matrix(fiber, active, q: int) -> np.ndarray:
-    """Matrix of the derivation from row q to row q + 1 - r, E_2 coordinates."""
-    r = next(iter(active.values())).page if active else None
+    """Matrix of the derivation from row q to row q + 1 - r, E_2 coordinates.
+
+    ``active`` is nonempty: it holds the generators transgressing on page r.
+    """
+    tgt_q = q + 1 - next(iter(active.values())).page
     src = fiber.degree_basis(q)
-    tgt_q = q + 1 - r if r is not None else -1
-    tgt = fiber.degree_basis(tgt_q) if tgt_q >= 0 else ()
+    tgt = fiber.degree_basis(tgt_q)
     mat = np.zeros((len(tgt), len(src)), dtype=np.uint8)
-    if not active or not tgt:
+    if not tgt:
         return mat
     for j, mono in enumerate(src):
         value = differential_value(fiber, active, mono)
@@ -326,22 +315,22 @@ def extend_by_leibniz(page: Page, assignment: DifferentialAssignment) -> PageDif
         raise ValueError("assignment belongs to a different fiber")
     r = page.r
     active = assignment.active_at(r)
-    if active:
-        for rule in fiber.rules:
-            lhs_val = differential_value(fiber, active, rule.lhs)
-            rhs_val = fiber.zero()
-            for mono in rule.rhs:
-                rhs_val = rhs_val + differential_value(fiber, active, mono)
-            if lhs_val != rhs_val:
-                rhs_elem = Element(fiber, rule.rhs)
-                raise LeibnizInconsistency(
-                    r,
-                    f"relation {fiber.mono_str(rule.lhs)} = {rhs_elem} is violated: "
-                    f"the differential sends the two sides to t^{r}*({lhs_val}) "
-                    f"and t^{r}*({rhs_val})")
-        _check_targets_alive(page, active)
-    rows = {q: _derivation_matrix(fiber, active, q)
-            for q in range(page.fiber_top + 1)}
+    if not active:
+        return PageDifferential(r, active, {})   # turn_page keeps the page as it is
+    for rule in fiber.rules:
+        lhs_val = differential_value(fiber, active, rule.lhs)
+        rhs_val = fiber.zero()
+        for mono in rule.rhs:
+            rhs_val = rhs_val + differential_value(fiber, active, mono)
+        if lhs_val != rhs_val:
+            rhs_elem = Element(fiber, rule.rhs)
+            raise LeibnizInconsistency(
+                r,
+                f"relation {fiber.mono_str(rule.lhs)} = {rhs_elem} is violated: "
+                f"the differential sends the two sides to t^{r}*({lhs_val}) "
+                f"and t^{r}*({rhs_val})")
+    _check_targets_alive(page, active)
+    rows = {q: _derivation_matrix(fiber, active, q) for q in range(page.fiber_top + 1)}
     return PageDifferential(r, active, rows)
 
 
@@ -378,6 +367,11 @@ def _check_targets_alive(page: Page, active: dict[str, TransgressionTarget]):
 def turn_page(page: Page, diff: PageDifferential) -> Page:
     """Subquotient pass from page r to page r + 1.
 
+    Kernels and images are computed once per stored column p <= S, reading
+    the target in column ``min(p + r, S)``.  The new page stores columns
+    ``0..S + r``: column p' takes its cycles from stored column
+    ``min(p', S)`` and its incoming images from column ``p' - r <= S``.
+
     Checks, in order: images of cycles are cycles, images of boundaries are
     boundaries (representative independence), the square of the
     differential vanishes, and finally image-inside-kernel for every cell.
@@ -385,19 +379,17 @@ def turn_page(page: Page, diff: PageDifferential) -> Page:
     if diff.r != page.r:
         raise ValueError("differential was computed for a different page")
     if not diff.active:
-        return Page(page.fiber, page.r + 1, page.p_window, page.fiber_top, page.cells)
-    r = page.r
-    incoming: dict[tuple[int, int], list[np.ndarray]] = {}
-    out_kernel: dict[tuple[int, int], gf2.Subspace] = {}
+        return Page(page.fiber, page.r + 1, page.stable, page.fiber_top, page.cells)
+    r, stable = page.r, page.stable
+    images: dict[tuple[int, int], list[np.ndarray]] = {}   # by source cell
+    cycles: dict[tuple[int, int], gf2.Subspace] = {}
     for pos in sorted(page.cells):
         p, q = pos
         cell = page.cells[pos]
-        tgt_pos = (p + r, q + 1 - r)
-        tgt_cell = page.cells.get(tgt_pos)
-        if tgt_pos[0] > page.p_window or tgt_cell is None:
-            # beyond the window or an empty row: nothing to record; when the
-            # row is empty the derivation matrix is 0-by-k and images vanish
-            out_kernel[pos] = gf2.Subspace.full(cell.dim)
+        tgt_cell = page.cell(p + r, q + 1 - r)
+        if tgt_cell is None:
+            # an empty row: the derivation matrix is 0-by-k and images vanish
+            cycles[pos] = cell.cycles
             continue
         coord_cols = []
         raws = []
@@ -416,24 +408,24 @@ def turn_page(page: Page, diff: PageDifferential) -> Page:
                     f"differential at ({p},{q}) is not well defined on cosets")
         mat = (np.array(coord_cols, dtype=np.uint8).T
                if coord_cols else np.zeros((tgt_cell.dim, 0), dtype=np.uint8))
-        out_kernel[pos] = gf2.kernel_basis(mat)
-        nonzero = [v for v in raws if v.any()]
-        if nonzero:
-            incoming.setdefault(tgt_pos, []).extend(nonzero)
-    new_cells = {}
-    for pos in sorted(page.cells):
-        cell = page.cells[pos]
-        coeffs = out_kernel[pos]
-        lifted = [(lam.astype(np.uint8) @ cell.reps) % 2 for lam in coeffs.basis] \
+        kernel = gf2.kernel_basis(mat)
+        lifted = [(lam.astype(np.uint8) @ cell.reps) % 2 for lam in kernel.basis] \
             if cell.dim else []
-        cycles = cell.boundaries.add(lifted)
-        boundaries = cell.boundaries.add(incoming.get(pos, []))
-        if not cycles.contains_subspace(boundaries):
-            raise SpectralModelError(
-                f"image is not contained in the kernel at {pos} on page {r}")
-        reps = gf2.subquotient(cycles, boundaries)
-        new_cells[pos] = Cell(cycles, boundaries, reps)
-    return Page(page.fiber, r + 1, page.p_window, page.fiber_top, new_cells)
+        cycles[pos] = cell.boundaries.add(lifted)
+        images[pos] = [v for v in raws if v.any()]
+    new_cells = {}
+    for p in range(stable + r + 1):
+        for q in range(page.fiber_top + 1):
+            cell = page.cell(p, q)
+            if cell is None:
+                continue
+            boundaries = cell.boundaries.add(images.get((p - r, q + r - 1), []))
+            kept = cycles[(min(p, stable), q)]
+            if not kept.contains_subspace(boundaries):
+                raise SpectralModelError(
+                    f"image is not contained in the kernel at {(p, q)} on page {r}")
+            new_cells[(p, q)] = Cell(kept, boundaries, gf2.subquotient(kept, boundaries))
+    return Page(page.fiber, r + 1, stable + r, page.fiber_top, new_cells)
 
 
 def _check_square_zero(page: Page, diff: PageDifferential, p: int, q: int,
@@ -443,10 +435,7 @@ def _check_square_zero(page: Page, diff: PageDifferential, p: int, q: int,
     second = diff.apply(q + 1 - diff.r, raw)
     if not second.any():
         return
-    pos2 = (p + 2 * diff.r, q + 2 - 2 * diff.r)
-    if pos2[0] > page.p_window:
-        return
-    cell2 = page.cells.get(pos2)
+    cell2 = page.cell(p + 2 * diff.r, q + 2 - 2 * diff.r)
     if cell2 is not None and cell2.boundaries.contains(second):
         return
     raise LeibnizInconsistency(
@@ -457,99 +446,63 @@ def _check_square_zero(page: Page, diff: PageDifferential, p: int, q: int,
 # -- running cases ---------------------------------------------------------------
 
 
-def default_window(fiber: AlgebraPresentation, dim_x: int) -> int:
-    return dim_x + fiber.top_degree + 3
+def pages(fiber: AlgebraPresentation, assignment: DifferentialAssignment):
+    """Yield E_2, E_3, ..., E_{fiber_top + 2} for one assignment.
+
+    Beyond the last page every differential leaves the first quadrant.
+    Raises ``LeibnizInconsistency`` on the page where the case dies.
+    """
+    page = build_e2(fiber)
+    yield page
+    while page.r < fiber.top_degree + 2:
+        page = turn_page(page, extend_by_leibniz(page, assignment))
+        yield page
 
 
 def run_case(fiber: AlgebraPresentation, dim_x: int,
-             assignment: DifferentialAssignment,
-             p_window: int | None = None,
-             keep_pages: bool = False) -> CaseVerdict | tuple[CaseVerdict, list[Page]]:
+             assignment: DifferentialAssignment) -> CaseVerdict:
     """Drive one assignment to its limit page and render a verdict.
 
-    Pages are turned from 2 through ``fiber_top + 2``; beyond that every
-    differential leaves the first quadrant.  A surviving case must satisfy
-    the free-action vanishing bound: the total complex is zero in degrees
-    ``dim_x < j <= dim_x + fiber_top``.
+    A surviving case must satisfy the free-action vanishing bound: the total
+    complex is zero in degrees ``dim_x < j <= dim_x + fiber_top``.
     """
-    window = p_window if p_window is not None else default_window(fiber, dim_x)
-    if window < default_window(fiber, dim_x):
-        raise ValueError("window override below the certified default")
-    page = build_e2(fiber, window)
-    pages = [page]
-    verdict = None
     try:
-        for r in range(2, fiber.top_degree + 2):
-            diff = extend_by_leibniz(page, assignment)
-            page = turn_page(page, diff)
-            pages.append(page)
+        for page in pages(fiber, assignment):
+            pass
     except LeibnizInconsistency as exc:
-        verdict = CaseVerdict(assignment, "eliminated", "leibniz_inconsistent",
-                              str(exc), None)
-    if verdict is None:
-        violations = [j for j in range(dim_x + 1, dim_x + fiber.top_degree + 1)
-                      if page.total_dimension(j) > 0]
-        if violations:
-            if len(violations) == fiber.top_degree:
-                detail = (f"nonzero classes in every degree "
-                          f"{dim_x + 1}..{dim_x + fiber.top_degree}")
-            else:
-                detail = f"nonzero classes in degrees {violations}"
-            verdict = CaseVerdict(assignment, "eliminated", "vanishing_violation",
-                                  detail, None)
-        else:
-            verdict = CaseVerdict(assignment, "survives", None, None, page)
-    return (verdict, pages) if keep_pages else verdict
+        return CaseVerdict(assignment, "eliminated", "leibniz_inconsistent",
+                           str(exc), None)
+    violations = [j for j in range(dim_x + 1, dim_x + fiber.top_degree + 1)
+                  if page.total_dimension(j) > 0]
+    if not violations:
+        return CaseVerdict(assignment, "survives", None, None, page)
+    if len(violations) == fiber.top_degree:
+        detail = (f"nonzero classes in every degree "
+                  f"{dim_x + 1}..{dim_x + fiber.top_degree}")
+    else:
+        detail = f"nonzero classes in degrees {violations}"
+    return CaseVerdict(assignment, "eliminated", "vanishing_violation", detail, None)
 
 
-def analyze_all(fiber: AlgebraPresentation, dim_x: int,
-                p_window: int | None = None) -> list[CaseVerdict]:
+def analyze_all(fiber: AlgebraPresentation, dim_x: int) -> list[CaseVerdict]:
     """Verdict for every enumerated assignment, in enumeration order."""
-    return [run_case(fiber, dim_x, a, p_window)
-            for a in enumerate_assignments(fiber)]
-
-
-def page_at(fiber: AlgebraPresentation, dim_x: int,
-            assignment: DifferentialAssignment, r: int,
-            p_window: int | None = None) -> Page:
-    """The page with index ``r`` for one assignment (for grid rendering).
-
-    Raises ``LeibnizInconsistency`` when the case dies before reaching the
-    requested page.
-    """
-    if r < 2:
-        raise ValueError("pages start at r = 2")
-    last = fiber.top_degree + 2
-    if r > last:
-        raise ValueError(f"pages stabilize at r = {last}; ask for at most that")
-    window = p_window if p_window is not None else default_window(fiber, dim_x)
-    page = build_e2(fiber, window)
-    while page.r < r:
-        diff = extend_by_leibniz(page, assignment)
-        page = turn_page(page, diff)
-    return page
+    return [run_case(fiber, dim_x, a) for a in enumerate_assignments(fiber)]
 
 
 def format_grid(page: Page, max_q: int | None = None) -> str:
     """Fixed-width dimension grid, q vertical and p horizontal.
 
-    Cells on or beyond the window boundary (``p + q >= p_window``) may be
-    window artifacts and are rendered as ``~``.
+    Shows the stored columns ``0..stable``; the last one repeats to the right.
     """
     top = page.fiber_top if max_q is None else min(max_q, page.fiber_top)
-    width = max(len(str(page.p_window)), 2) + 1
+    width = max(len(str(page.stable)), 2) + 1
     lines = [f"E_{page.r} page (fiber {page.fiber.name or 'custom'}, "
-             f"columns 0..{page.p_window})"]
-    header = "  q\\p|" + "".join(str(p).rjust(width) for p in range(page.p_window + 1))
+             f"columns 0..{page.stable})"]
+    header = "  q\\p|" + "".join(str(p).rjust(width) for p in range(page.stable + 1))
     lines.append(header)
     lines.append("  " + "-" * (len(header) - 2))
     for q in range(top, -1, -1):
-        row = [str(q).rjust(4) + "|"]
-        for p in range(page.p_window + 1):
-            if p + q >= page.exact_total_degree():
-                row.append("~".rjust(width))
-            else:
-                row.append(str(page.dim(p, q)).rjust(width))
-        lines.append("".join(row))
-    lines.append("  ('~' marks the uncertified window fringe)")
+        lines.append(str(q).rjust(4) + "|" + "".join(
+            str(page.dim(p, q)).rjust(width) for p in range(page.stable + 1)))
+    lines.append(f"  (column {page.stable} repeats in every column to its right)")
     return "\n".join(lines)

@@ -3,28 +3,57 @@ import itertools
 import numpy as np
 import pytest
 
+from orbitcoh import gf2
 from orbitcoh.algebra import (
     AlgebraPresentation,
     sphere_presentation,
     wall_presentation,
 )
 from orbitcoh.spectral import (
+    Cell,
     LeibnizInconsistency,
+    Page,
+    SpectralModelError,
     analyze_all,
     build_e2,
-    default_window,
     differential_value,
     enumerate_assignments,
     extend_by_leibniz,
     format_grid,
-    page_at,
+    pages,
     run_case,
     turn_page,
 )
 
+# Q(1, 3) has top degree 8; with dim_x = 8 the former fixed window of
+# dim_x + top + 3 columns was 19, and the ported checks cover at least it.
+Q13_WINDOW = 19
+
 
 def assignments_by_id(fiber):
     return {a.case_id: a for a in enumerate_assignments(fiber)}
+
+
+def page_r(fiber, assignment, r):
+    """The page E_r of one assignment."""
+    for page in pages(fiber, assignment):
+        if page.r == r:
+            return page
+
+
+def two_generator_fibers():
+    """The 81 fibers F2[a, b]/(a^e, b^f) with |a|, |b| in 1..3 and e, f in 2..4."""
+    for d1, e1, d2, e2 in itertools.product((1, 2, 3), (2, 3, 4), repeat=2):
+        yield AlgebraPresentation([("a", d1), ("b", d2)], [((e1, 0), ()), ((0, e2), ())],
+                                  name=f"a{d1}^{e1} b{d2}^{e2}")
+
+
+def spheres():
+    return [sphere_presentation(n) for n in range(1, 9)]
+
+
+def euler(dims):
+    return sum(d if j % 2 == 0 else -d for j, d in enumerate(dims))
 
 
 def b_pattern_e3(p, q):
@@ -48,19 +77,20 @@ def a_pattern_e4(p, q):
 class TestBuildE2:
     def test_wall_column_dims(self):
         q13 = wall_presentation(1, 3)
-        page = build_e2(q13, 12)
+        page = build_e2(q13)
+        assert page.stable == 0
         expected = [1, 2, 2, 2, 2, 2, 2, 2, 1]
         for p in range(13):
             assert [page.dim(p, q) for q in range(9)] == expected
 
     def test_sphere_column_dims(self):
-        page = build_e2(sphere_presentation(2), 6)
+        page = build_e2(sphere_presentation(2))
         for p in range(7):
             assert [page.dim(p, q) for q in range(3)] == [1, 0, 1]
 
     def test_point_fiber(self):
         point = AlgebraPresentation([], [])
-        page = build_e2(point, 4)
+        page = build_e2(point)
         assert all(page.dim(p, 0) == 1 for p in range(5))
         assert page.fiber_top == 0
 
@@ -148,14 +178,14 @@ class TestDifferentialValues:
 class TestLeibnizGuard:
     def test_case_e_violates_wall_relation(self):
         q13 = wall_presentation(1, 3)
-        page = build_e2(q13, default_window(q13, 8))
+        page = build_e2(q13)
         with pytest.raises(LeibnizInconsistency) as err:
             extend_by_leibniz(page, assignments_by_id(q13)["E"])
         assert "c^2" in str(err.value)
 
     def test_case_b_passes_guard(self):
         q13 = wall_presentation(1, 3)
-        page = build_e2(q13, default_window(q13, 8))
+        page = build_e2(q13)
         diff = extend_by_leibniz(page, assignments_by_id(q13)["B1"])
         assert diff.active.keys() == {"d"}
 
@@ -164,7 +194,7 @@ class TestLeibnizGuard:
         # shows on E_3: d(d^5) = d^4*t^3 != 0 while d^5 = 0 in Q(1, 4)
         q14 = wall_presentation(1, 4)
         by_id = assignments_by_id(q14)
-        e3 = page_at(q14, 10, by_id["A"], 3)
+        e3 = page_r(q14, by_id["A"], 3)
         with pytest.raises(LeibnizInconsistency) as err:
             extend_by_leibniz(e3, by_id["A"])
         assert err.value.page == 3
@@ -174,18 +204,19 @@ class TestLeibnizGuard:
 class TestTurnPage:
     def test_zero_differential_keeps_dimensions(self):
         q13 = wall_presentation(1, 3)
-        page = build_e2(q13, 10)
+        page = build_e2(q13)
         nxt = turn_page(page, extend_by_leibniz(page, assignments_by_id(q13)["Z"]))
         assert nxt.r == 3
-        for pos, cell in page.cells.items():
-            assert nxt.dim(*pos) == cell.dim
+        for p in range(11):
+            for q in range(q13.top_degree + 1):
+                assert nxt.dim(p, q) == page.dim(p, q)
 
     def test_b1_e3_pattern(self):
         q13 = wall_presentation(1, 3)
         by_id = assignments_by_id(q13)
-        e3 = page_at(q13, 8, by_id["B1"], 3)
+        e3 = page_r(q13, by_id["B1"], 3)
         for q in range(2 * 3 + 1):
-            for p in range(e3.exact_total_degree() - q):
+            for p in range(Q13_WINDOW - q):
                 assert e3.dim(p, q) == b_pattern_e3(p, q), (p, q)
 
     def test_b_subcases_share_the_e3_grid(self):
@@ -193,26 +224,27 @@ class TestTurnPage:
         by_id = assignments_by_id(q13)
         grids = []
         for case in ("B1", "B2", "B3"):
-            e3 = page_at(q13, 8, by_id[case], 3)
-            grids.append([[e3.dim(p, q) for p in range(e3.p_window + 1)]
+            e3 = page_r(q13, by_id[case], 3)
+            grids.append([[e3.dim(p, q) for p in range(Q13_WINDOW + 1)]
                           for q in range(e3.fiber_top + 1)])
         assert grids[0] == grids[1] == grids[2]
 
     def test_case_a_e4_pattern(self):
         q13 = wall_presentation(1, 3)
-        e4 = page_at(q13, 8, assignments_by_id(q13)["A"], 4)
+        e4 = page_r(q13, assignments_by_id(q13)["A"], 4)
         for q in range(2 * 3 + 1):
-            for p in range(e4.exact_total_degree() - q):
+            for p in range(Q13_WINDOW - q):
                 assert e4.dim(p, q) == a_pattern_e4(p, q), (p, q)
 
     def test_case_a_collapses_after_page_four(self):
         q13 = wall_presentation(1, 3)
         asgn = assignments_by_id(q13)["A"]
-        verdict, pages = run_case(q13, 8, asgn, keep_pages=True)
-        e4 = pages[2]
-        for later in pages[3:]:
-            for pos, cell in e4.cells.items():
-                assert later.dim(*pos) == cell.dim
+        seq = list(pages(q13, asgn))
+        e4 = seq[2]
+        for later in seq[3:]:
+            for p in range(Q13_WINDOW + 1):
+                for q in range(q13.top_degree + 1):
+                    assert later.dim(p, q) == e4.dim(p, q)
 
 
 class TestRunCase:
@@ -239,11 +271,6 @@ class TestRunCase:
         e_inf = survivor.e_infinity
         assert [e_inf.total_dimension(j) for j in range(2)] == [1, 1]
         assert e_inf.dim(0, 0) == 1 and e_inf.dim(1, 0) == 1 and e_inf.dim(2, 0) == 0
-
-    def test_window_override_must_not_shrink(self):
-        q13 = wall_presentation(1, 3)
-        with pytest.raises(ValueError):
-            run_case(q13, 8, assignments_by_id(q13)["A"], p_window=5)
 
 
 class TestAnalyzeAll:
@@ -279,19 +306,22 @@ class TestStructuralProperties:
         # compose consecutive derivation images through the coset structure
         q13 = wall_presentation(1, 3)
         for asgn in enumerate_assignments(q13):
-            page = build_e2(q13, default_window(q13, 8))
+            page = build_e2(q13)
             try:
                 while page.r <= q13.top_degree + 1:
                     diff = extend_by_leibniz(page, asgn)
-                    for (p, q), cell in page.cells.items():
-                        for rep in cell.reps:
-                            once = diff.apply(q, rep)
-                            twice = diff.apply(q + 1 - page.r, once)
-                            pos2 = (p + 2 * page.r, q + 2 - 2 * page.r)
-                            if pos2[0] <= page.p_window and twice.any():
-                                cell2 = page.cells.get(pos2)
-                                assert cell2 is not None
-                                assert cell2.boundaries.contains(twice)
+                    for p in range(Q13_WINDOW + 1):
+                        for q in range(q13.top_degree + 1):
+                            cell = page.cell(p, q)
+                            if cell is None:
+                                continue
+                            for rep in cell.reps:
+                                once = diff.apply(q, rep)
+                                twice = diff.apply(q + 1 - page.r, once)
+                                if twice.any():
+                                    cell2 = page.cell(p + 2 * page.r, q + 2 - 2 * page.r)
+                                    assert cell2 is not None
+                                    assert cell2.boundaries.contains(twice)
                     page = turn_page(page, diff)
             except LeibnizInconsistency:
                 continue
@@ -315,22 +345,23 @@ class TestStructuralProperties:
     def test_pages_stabilize_after_fiber_top(self):
         q13 = wall_presentation(1, 3)
         asgn = assignments_by_id(q13)["A"]
-        verdict, pages = run_case(q13, 8, asgn, keep_pages=True)
-        final = pages[-1]
+        seq = list(pages(q13, asgn))
+        final = seq[-1]
         assert final.r == q13.top_degree + 2
-        for pos, cell in pages[-2].cells.items():
-            assert final.dim(*pos) == cell.dim
+        for p in range(Q13_WINDOW + 1):
+            for q in range(q13.top_degree + 1):
+                assert final.dim(p, q) == seq[-2].dim(p, q)
 
     def test_euler_bookkeeping_per_degree(self):
         # turning a page removes rank(out) + rank(in) from each total degree
         q13 = wall_presentation(1, 3)
         asgn = assignments_by_id(q13)["B1"]
-        window = default_window(q13, 8)
-        page = build_e2(q13, window)
+        page = build_e2(q13)
         diff = extend_by_leibniz(page, asgn)
         ranks = {}
-        for (p, q), cell in page.cells.items():
-            if cell.dim == 0 or p + q + 1 >= window:
+        for p, q in itertools.product(range(Q13_WINDOW + 1), range(q13.top_degree + 1)):
+            cell = page.cell(p, q)
+            if cell is None or cell.dim == 0 or p + q + 1 >= Q13_WINDOW:
                 continue
             images = [diff.apply(q, rep) for rep in cell.reps]
             mat = np.array([v for v in images], dtype=np.uint8)
@@ -346,15 +377,92 @@ class TestStructuralProperties:
 class TestGridRendering:
     def test_grid_mentions_page_and_fringe(self):
         q13 = wall_presentation(1, 3)
-        e3 = page_at(q13, 8, assignments_by_id(q13)["B1"], 3)
+        e3 = page_r(q13, assignments_by_id(q13)["B1"], 3)
         text = format_grid(e3)
         assert text.startswith("E_3 page")
-        assert "~" in text
-        assert "window fringe" in text
+        assert e3.stable == 2
+        assert "columns 0..2" in text
+        assert "column 2 repeats in every column to its right" in text
+        assert "~" not in text
 
     def test_grid_rows_cover_fiber_top(self):
         q13 = wall_presentation(1, 3)
-        page = build_e2(q13, 12)
+        page = build_e2(q13)
         lines = format_grid(page).splitlines()
         data_lines = [l for l in lines if "|" in l and not l.strip().startswith("q")]
         assert len(data_lines) == q13.top_degree + 1
+
+
+class TestStableColumns:
+    """A page stores columns 0..S and column S stands for every later column.
+
+    The reference starts from E_2 with explicit columns 0..W, built directly
+    and declared stable only from W on, where W is at least the engine's
+    final S + 2; both must give the same page dimensions for p <= W, or the
+    same error.
+    """
+
+    @staticmethod
+    def explicit_pages(fiber, assignment, width):
+        cells = {}
+        for p in range(width + 1):
+            for q in range(fiber.top_degree + 1):
+                n = len(fiber.degree_basis(q))
+                if n:
+                    cells[(p, q)] = Cell(gf2.Subspace.full(n), gf2.Subspace.zero(n),
+                                         np.eye(n, dtype=np.uint8))
+        page = Page(fiber, 2, width, fiber.top_degree, cells)
+        yield page
+        while page.r < fiber.top_degree + 2:
+            page = turn_page(page, extend_by_leibniz(page, assignment))
+            yield page
+
+    @staticmethod
+    def grids_or_error(page_iter, width, top):
+        grids = []
+        try:
+            for page in page_iter:
+                grids.append([[page.dim(p, q) for p in range(width + 1)]
+                              for q in range(top + 1)])
+        except (LeibnizInconsistency, SpectralModelError) as exc:
+            return grids, (type(exc), str(exc))
+        return grids, None
+
+    def test_stable_columns_match_explicit_columns(self):
+        fibers = [wall_presentation(m, n) for m, n in ((1, 3), (1, 4), (1, 5), (3, 5))]
+        fibers += list(two_generator_fibers()) + spheres()
+        cases = 0
+        for fiber in fibers:
+            top = fiber.top_degree
+            for asgn in enumerate_assignments(fiber):
+                # S grows by r on each active page, so it ends at most at this sum
+                width = sum(asgn.active_pages()) + 2
+                engine = self.grids_or_error(pages(fiber, asgn), width, top)
+                explicit = self.grids_or_error(
+                    self.explicit_pages(fiber, asgn, width), width, top)
+                assert engine == explicit, (fiber.name, asgn.case_id)
+                cases += 1
+        assert cases == 552
+
+    def test_survivors_vanish_above_dim_x_and_halve_euler_characteristic(self):
+        # dim_x is the fiber's top degree, as for a closed manifold
+        fibers = [wall_presentation(m, n) for m, n in ((1, 3), (3, 5), (1, 9))]
+        fibers += list(two_generator_fibers()) + spheres()
+        survivors = 0
+        for fiber in fibers:
+            top = dim_x = fiber.top_degree
+            chi_fiber = euler(len(fiber.degree_basis(q)) for q in range(top + 1))
+            for asgn in enumerate_assignments(fiber):
+                try:
+                    verdict = run_case(fiber, dim_x, asgn)
+                except SpectralModelError:
+                    continue    # a declared class died early: no verdict (ROADMAP item 2)
+                if verdict.outcome != "survives":
+                    continue
+                survivors += 1
+                e_inf = verdict.e_infinity
+                for j in range(dim_x + 1, 2 * (dim_x + top) + 1):
+                    assert e_inf.total_dimension(j) == 0, (fiber.name, asgn.case_id, j)
+                chi = euler(e_inf.total_dimension(j) for j in range(dim_x + 1))
+                assert 2 * chi == chi_fiber, (fiber.name, asgn.case_id)
+        assert survivors == 135     # 124 two-generator, 3 Wall, 8 spheres
