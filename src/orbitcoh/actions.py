@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import gf2
 from .algebra import AlgebraPresentation, Element, wall_presentation
 
@@ -137,7 +135,7 @@ def is_ring_endomorphism(pres: AlgebraPresentation,
         if not basis:
             continue
         cols = [pres.to_vector(apply_candidate(pres, cand, m), q) for m in basis]
-        if gf2.rank(np.array(cols, dtype=np.uint8)) < len(basis):
+        if gf2.rank(cols) < len(basis):
             return False, f"not bijective in degree {q}"
     return True, None
 

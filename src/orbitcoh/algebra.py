@@ -20,8 +20,6 @@ import itertools
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
 Mono = tuple[int, ...]
 
 _FACTOR_RE = re.compile(r"([^\W\d]\w*)(?:\^(\d+))?$", re.UNICODE)
@@ -287,18 +285,15 @@ class AlgebraPresentation:
         return [Element(self, frozenset(m for i, m in enumerate(basis) if mask >> i & 1))
                 for mask in range(1, 2 ** len(basis))]
 
-    def to_vector(self, elem: "Element", q: int) -> np.ndarray:
+    def to_vector(self, elem: "Element", q: int) -> int:
+        """Bit mask of ``elem`` over ``degree_basis(q)``: bit i is basis monomial i."""
         index = self.basis_index(q)
-        vec = np.zeros(len(index), dtype=np.uint8)
+        vec = 0
         for m in elem.terms:
             if self.mono_degree(m) != q:
                 raise ValueError("element is not homogeneous of the requested degree")
-            vec[index[m]] = 1
+            vec |= 1 << index[m]
         return vec
-
-    def from_vector(self, q: int, vec) -> "Element":
-        basis = self.degree_basis(q)
-        return Element(self, frozenset(basis[i] for i in np.nonzero(np.asarray(vec))[0]))
 
     def parse_element(self, text: str) -> "Element":
         text = text.strip()

@@ -1,208 +1,179 @@
-"""Dense linear algebra over GF(2).
+"""Linear algebra over GF(2) on bit masks.
 
-Vectors are 1-d numpy ``uint8`` arrays with entries in ``{0, 1}``; matrices
-are 2-d arrays of the same kind.  Row reduction uses XOR row operations and
-reduced row echelon form (RREF) is the canonical form throughout: RREF is
-unique per subspace, so every derived basis (kernels, images, coset
-representatives) is reproducible between runs.
+A vector is a Python ``int`` with bit j as coordinate j, so a vector of
+GF(2)^n is an int below ``2**n`` and addition is XOR.  A linear map is the
+list of the images of its basis vectors: its columns, as ints.
 
-All dimensions in this project are tiny (a few dozen at most), so plain
-dense elimination is the right tool; there is no bit packing and no
-asymptotically fast elimination.
+Every function runs through one elimination, ``_eliminate``, to reduced row
+echelon form (RREF) with the pivot of each row at its lowest set bit.  RREF
+is unique per subspace, so every derived basis (kernels, images, coset
+representatives) is reproducible between runs.  All dimensions here are a
+few dozen at most, so plain elimination on word-packed vectors suffices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
 
+def _eliminate(vectors) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan elimination that records how each row was formed.
 
-def as_gf2(data, cols: int | None = None) -> np.ndarray:
-    """Coerce *data* to a 2-d uint8 matrix with entries reduced mod 2.
-
-    ``cols`` disambiguates the width of an empty matrix.
+    Returns ``(echelon, relations)``.  ``echelon`` lists ``[pivot, row,
+    combo]`` by increasing pivot: ``pivot`` is the lowest set bit of ``row``
+    and of no other row, and ``combo`` selects the inputs (bit i for input i)
+    whose XOR is ``row``.  ``relations`` is a basis of the combos whose XOR
+    is zero, one for each input that depends on the earlier ones.
     """
-    arr = np.asarray(data, dtype=np.uint8)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    if arr.size == 0:
-        width = arr.shape[1] if arr.ndim == 2 and arr.shape[1] else (cols or 0)
-        return np.zeros((arr.shape[0] if arr.ndim == 2 else 0, width), dtype=np.uint8)
-    if arr.ndim != 2:
-        raise ValueError("expected a vector or a 2-d matrix")
-    return arr % 2
-
-
-def rref(m, pivot_limit: int | None = None) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(2).
-
-    Returns ``(R, pivots)`` where ``R`` is fully reduced (zeros above and
-    below each pivot) and ``pivots`` lists the pivot columns in order.
-    ``pivot_limit`` restricts pivot search to the first columns, which is
-    used to solve augmented systems; row operations still act on full rows.
-    """
-    a = np.array(m, dtype=np.uint8, copy=True) % 2
-    if a.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    rows, cols = a.shape
-    limit = cols if pivot_limit is None else pivot_limit
-    pivots: list[int] = []
-    row = 0
-    for col in range(limit):
-        if row == rows:
-            break
-        hits = np.nonzero(a[row:, col])[0]
-        if hits.size == 0:
+    echelon: list[list[int]] = []
+    relations = []
+    for i, v in enumerate(vectors):
+        combo = 1 << i
+        for pivot, row, row_combo in echelon:
+            if v & pivot:
+                v ^= row
+                combo ^= row_combo
+        if not v:
+            relations.append(combo)
             continue
-        hit = row + int(hits[0])
-        if hit != row:
-            a[[row, hit]] = a[[hit, row]]
-        others = np.nonzero(a[:, col])[0]
-        for i in others:
-            if i != row:
-                a[i] ^= a[row]
-        pivots.append(col)
-        row += 1
-    return a, pivots
+        pivot = v & -v
+        for entry in echelon:
+            if entry[1] & pivot:
+                entry[1] ^= v
+                entry[2] ^= combo
+        echelon.append([pivot, v, combo])
+    echelon.sort()
+    return echelon, relations
 
 
-def rank(m) -> int:
-    """GF(2) rank of a matrix; bounded by min(rows, cols)."""
-    return len(rref(as_gf2(m))[1])
+def rref(vectors) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form of the span of ``vectors``.
+
+    Returns ``(rows, pivots)``: the nonzero RREF rows by increasing pivot,
+    each fully reduced (no other row has its pivot bit set), and the pivot
+    coordinates in the same order.
+    """
+    echelon, _ = _eliminate(vectors)
+    return ([row for _, row, _ in echelon],
+            [pivot.bit_length() - 1 for pivot, _, _ in echelon])
 
 
-@dataclass(frozen=True, eq=False)
+def rank(vectors) -> int:
+    """Dimension of the span of ``vectors``; the rank of a map given by its columns."""
+    return len(_eliminate(vectors)[0])
+
+
+def combine(coeffs: int, vectors) -> int:
+    """XOR of the vectors that the bits of ``coeffs`` select (bit i picks ``vectors[i]``)."""
+    out = 0
+    for i, v in enumerate(vectors):
+        if coeffs >> i & 1:
+            out ^= v
+    return out
+
+
+@dataclass(frozen=True)
 class Subspace:
-    """A subspace of GF(2)^n, stored as an RREF basis (rows).
+    """A subspace of GF(2)^n, stored as its RREF basis.
 
-    The RREF basis is unique for a given subspace, so equality of spans is
-    plain array equality and every function returning a ``Subspace`` is
+    The RREF basis is unique for a given subspace, so equal spans compare
+    and hash equal and every function returning a ``Subspace`` is
     deterministic.
     """
 
     ambient_dim: int
-    basis: np.ndarray          # shape (dim, ambient_dim), RREF rows
+    basis: tuple[int, ...]      # RREF rows, by increasing pivot
     pivots: tuple[int, ...]
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.zeros((0, ambient_dim), dtype=np.uint8), ())
+        return cls(ambient_dim, (), ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.eye(ambient_dim, dtype=np.uint8),
+        return cls(ambient_dim, tuple(1 << j for j in range(ambient_dim)),
                    tuple(range(ambient_dim)))
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim: int) -> "Subspace":
-        mat = as_gf2(np.array(list(vectors), dtype=np.uint8), cols=ambient_dim)
-        if mat.shape[0] == 0:
-            return cls.zero(ambient_dim)
-        if mat.shape[1] != ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-        r, piv = rref(mat)
-        return cls(ambient_dim, r[: len(piv)].copy(), tuple(piv))
+        vectors = list(vectors)
+        if any(v >> ambient_dim for v in vectors):
+            raise ValueError("vector does not fit the ambient dimension")
+        rows, pivots = rref(vectors)
+        return cls(ambient_dim, tuple(rows), tuple(pivots))
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return len(self.basis)
 
-    def reduce(self, v) -> np.ndarray:
+    def reduce(self, v: int) -> int:
         """Canonical representative of ``v`` modulo this subspace."""
-        out = np.array(v, dtype=np.uint8, copy=True) % 2
         for row, col in zip(self.basis, self.pivots):
-            if out[col]:
-                out ^= row
-        return out
+            if v >> col & 1:
+                v ^= row
+        return v
 
-    def contains(self, v) -> bool:
-        return not self.reduce(v).any()
+    def contains(self, v: int) -> bool:
+        return not self.reduce(v)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis)
+        return all(self.contains(v) for v in other.basis)
 
     def add(self, vectors) -> "Subspace":
         """Span of this subspace together with the given vectors."""
-        extra = as_gf2(np.array(list(vectors), dtype=np.uint8), cols=self.ambient_dim)
-        if extra.shape[0] == 0:
+        extra = tuple(vectors)
+        if not extra:
             return self
-        stacked = np.vstack([self.basis, extra]) if self.dim else extra
-        return Subspace.from_vectors(stacked, self.ambient_dim)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return (self.ambient_dim == other.ambient_dim
-                and self.basis.shape == other.basis.shape
-                and bool(np.array_equal(self.basis, other.basis)))
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.basis.tobytes()))
+        return Subspace.from_vectors(self.basis + extra, self.ambient_dim)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def kernel_basis(m) -> Subspace:
-    """Solution space of ``m @ v = 0``; dim = cols - rank(m)."""
-    a = as_gf2(m)
-    nrows, ncols = a.shape
-    r, piv = rref(a)
-    free = [c for c in range(ncols) if c not in piv]
-    vecs = np.zeros((len(free), ncols), dtype=np.uint8)
-    for k, fc in enumerate(free):
-        vecs[k, fc] = 1
-        for i, pc in enumerate(piv):
-            vecs[k, pc] = r[i, fc]
-    return Subspace.from_vectors(vecs, ncols)
+def kernel_basis(columns) -> Subspace:
+    """Kernel of the map with the given columns; dim = len(columns) - rank."""
+    _, relations = _eliminate(columns)
+    return Subspace.from_vectors(relations, len(columns))
 
 
-def image_basis(m) -> Subspace:
-    """Column space of ``m``; dim = rank(m)."""
-    a = as_gf2(m)
-    return Subspace.from_vectors(a.T, a.shape[0])
+def image_basis(columns) -> Subspace:
+    """Column space of the map with the given columns; dim = rank.
+
+    Its ambient space is the narrowest that holds every column.
+    """
+    width = max((v.bit_length() for v in columns), default=0)
+    return Subspace.from_vectors(columns, width)
 
 
-def subquotient(kernel: Subspace, image: Subspace) -> np.ndarray:
+def subquotient(kernel: Subspace, image: Subspace) -> tuple[int, ...]:
     """Canonical coset representatives of ``kernel / image``.
 
     Raises ``ValueError`` when the image is not contained in the kernel,
-    which signals an inconsistent differential upstream.  The returned rows
-    are an RREF basis of a complement of ``image`` inside ``kernel``: they
-    vanish on the image's pivot columns, so their span meets the image only
-    in zero and representative choice is deterministic.
+    which signals an inconsistent differential upstream.  The returned
+    vectors are an RREF basis of a complement of ``image`` inside ``kernel``:
+    they vanish on the image's pivot coordinates, so their span meets the
+    image only in zero and representative choice is deterministic.
     """
     if kernel.ambient_dim != image.ambient_dim:
         raise ValueError("kernel and image live in different ambient spaces")
     if not kernel.contains_subspace(image):
         raise ValueError("image is not contained in the kernel")
-    reduced = [image.reduce(row) for row in kernel.basis]
-    reps = Subspace.from_vectors([v for v in reduced if v.any()], kernel.ambient_dim)
+    reps = Subspace.from_vectors(map(image.reduce, kernel.basis), kernel.ambient_dim)
     if reps.dim != kernel.dim - image.dim:
         raise AssertionError("coset representative count mismatch")
-    return reps.basis.copy()
+    return reps.basis
 
 
-def solve(rows: np.ndarray, target) -> np.ndarray | None:
-    """Coefficients ``x`` with ``x @ rows == target`` mod 2, or ``None``.
+def solve(rows, target: int) -> int | None:
+    """Coefficients ``x`` with ``combine(x, rows) == target``, or ``None``.
 
-    ``rows`` is a (k, n) matrix whose rows span the candidate space; the
-    solution is unique when the rows are independent.
+    ``rows`` spans the candidate space; the solution is unique when the rows
+    are independent.
     """
-    mat = as_gf2(rows)
-    k, n = mat.shape
-    t = np.asarray(target, dtype=np.uint8) % 2
-    if t.shape != (n,):
-        raise ValueError("target length does not match row width")
-    if k == 0:
-        return np.zeros(0, dtype=np.uint8) if not t.any() else None
-    aug = np.hstack([mat, np.eye(k, dtype=np.uint8)])
-    r, piv = rref(aug, pivot_limit=n)
-    acc = np.concatenate([t, np.zeros(k, dtype=np.uint8)])
-    for row, col in zip(r, piv):
-        if acc[col]:
-            acc ^= row
-    if acc[:n].any():
-        return None
-    return acc[n:]
+    echelon, _ = _eliminate(rows)
+    x = 0
+    for pivot, row, combo in echelon:
+        if target & pivot:
+            target ^= row
+            x ^= combo
+    return None if target else x

@@ -8,13 +8,14 @@ specified transgressively: each fiber generator either survives every page
 row of the base, and everything else follows from base-linearity and the
 characteristic-2 Leibniz rule.
 
-A cell keeps three pieces of data, all in E_2 coordinates (vectors over the
-fiber basis of its row; the ``t^p`` factor is implicit): the subspace of
+A cell keeps three pieces of data, all in E_2 coordinates: the subspace of
 classes still alive (``cycles``), the subspace already hit (``boundaries``)
-and canonical coset representatives for their quotient.  Turning a page is
-subquotient bookkeeping plus three guards that are *checked*, never
-assumed: compatibility of the derivation with every fiber relation, square
-zero, and representative independence.
+and canonical coset representatives for their quotient.  A vector in row q
+is a bit mask over ``degree_basis(q)``, bit i for basis monomial i (see
+``gf2``); the ``t^p`` factor is implicit.  Turning a page is subquotient
+bookkeeping plus three guards that are *checked*, never assumed:
+compatibility of the derivation with every fiber relation, square zero,
+and representative independence.
 
 Stable columns: every differential is linear over ``F2[t]``, and
 multiplication by ``t`` maps each column of E_2 isomorphically onto the
@@ -31,8 +32,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import gf2
 from .algebra import AlgebraPresentation, Element, Mono
@@ -101,19 +100,18 @@ class DifferentialAssignment:
 
 @dataclass
 class Cell:
-    """One bigraded spot: alive classes, hit classes, and coset reps."""
+    """One bigraded spot: alive classes, hit classes, and coset reps.
+
+    Every vector is a bit mask over ``degree_basis(q)`` of the cell's row q.
+    """
 
     cycles: gf2.Subspace
     boundaries: gf2.Subspace
-    reps: np.ndarray     # (dim, ambient) canonical coset representatives
+    reps: tuple[int, ...]     # canonical coset representatives
 
     @property
     def dim(self) -> int:
-        return self.reps.shape[0]
-
-    @property
-    def ambient(self) -> int:
-        return self.cycles.ambient_dim
+        return len(self.reps)
 
 
 @dataclass
@@ -158,8 +156,8 @@ def build_e2(fiber: AlgebraPresentation) -> Page:
         ambient = len(fiber.degree_basis(q))
         if ambient == 0:
             continue
-        cells[(0, q)] = Cell(gf2.Subspace.full(ambient), gf2.Subspace.zero(ambient),
-                             np.eye(ambient, dtype=np.uint8))
+        full = gf2.Subspace.full(ambient)
+        cells[(0, q)] = Cell(full, gf2.Subspace.zero(ambient), full.basis)
     return Page(fiber, 2, 0, fiber_top, cells)
 
 
@@ -266,36 +264,28 @@ def differential_value(fiber: AlgebraPresentation,
     return total
 
 
-def _derivation_matrix(fiber, active, q: int) -> np.ndarray:
-    """Matrix of the derivation from row q to row q + 1 - r, E_2 coordinates.
+def _derivation_matrix(fiber, active, q: int) -> list[int]:
+    """The derivation from row q to row q + 1 - r in E_2 coordinates: the
+    images of the basis of row q.
 
     ``active`` is nonempty: it holds the generators transgressing on page r.
     """
     tgt_q = q + 1 - next(iter(active.values())).page
-    src = fiber.degree_basis(q)
-    tgt = fiber.degree_basis(tgt_q)
-    mat = np.zeros((len(tgt), len(src)), dtype=np.uint8)
-    if not tgt:
-        return mat
-    for j, mono in enumerate(src):
-        value = differential_value(fiber, active, mono)
-        if value:
-            mat[:, j] = fiber.to_vector(value, tgt_q)
-    return mat
+    return [fiber.to_vector(differential_value(fiber, active, mono), tgt_q)
+            for mono in fiber.degree_basis(q)]
 
 
 @dataclass
 class PageDifferential:
+    """The derivation of page r, row by row; vectors are bit masks over
+    ``degree_basis(q)``."""
+
     r: int
     active: dict[str, TransgressionTarget]
-    row_matrices: dict[int, np.ndarray]     # q -> derivation matrix on row q
+    row_matrices: dict[int, list[int]]     # q -> images of the basis of row q
 
-    def apply(self, q: int, vec: np.ndarray) -> np.ndarray:
-        mat = self.row_matrices.get(q)
-        if mat is None or mat.size == 0:
-            tgt_len = mat.shape[0] if mat is not None else 0
-            return np.zeros(tgt_len, dtype=np.uint8)
-        return (mat @ vec) % 2
+    def apply(self, q: int, vec: int) -> int:
+        return gf2.combine(vec, self.row_matrices.get(q, ()))   # no row q: vec is 0
 
 
 def extend_by_leibniz(page: Page, assignment: DifferentialAssignment) -> PageDifferential:
@@ -334,15 +324,12 @@ def extend_by_leibniz(page: Page, assignment: DifferentialAssignment) -> PageDif
     return PageDifferential(r, active, rows)
 
 
-def _cell_class_coords(cell: Cell, vec: np.ndarray) -> np.ndarray:
-    """Coordinates of a cycle's class in the cell's coset basis."""
-    stacked = (np.vstack([cell.reps, cell.boundaries.basis])
-               if cell.dim + cell.boundaries.dim
-               else np.zeros((0, cell.ambient), dtype=np.uint8))
-    coords = gf2.solve(stacked, vec)
+def _cell_class_coords(cell: Cell, vec: int) -> int:
+    """Coordinates of a cycle's class in the cell's coset basis, as a mask over ``reps``."""
+    coords = gf2.solve(cell.reps + cell.boundaries.basis, vec)
     if coords is None:
         raise SpectralModelError("vector does not represent a class in its cell")
-    return coords[: cell.dim]
+    return coords & ((1 << cell.dim) - 1)
 
 
 def _check_targets_alive(page: Page, active: dict[str, TransgressionTarget]):
@@ -381,21 +368,21 @@ def turn_page(page: Page, diff: PageDifferential) -> Page:
     if not diff.active:
         return Page(page.fiber, page.r + 1, page.stable, page.fiber_top, page.cells)
     r, stable = page.r, page.stable
-    images: dict[tuple[int, int], list[np.ndarray]] = {}   # by source cell
+    images: dict[tuple[int, int], list[int]] = {}   # by source cell
     cycles: dict[tuple[int, int], gf2.Subspace] = {}
     for pos in sorted(page.cells):
         p, q = pos
         cell = page.cells[pos]
         tgt_cell = page.cell(p + r, q + 1 - r)
         if tgt_cell is None:
-            # an empty row: the derivation matrix is 0-by-k and images vanish
+            # no target row: every image vanishes
             cycles[pos] = cell.cycles
             continue
         coord_cols = []
         raws = []
         for rep in cell.reps:
             raw = diff.apply(q, rep)
-            if raw.any() and not tgt_cell.cycles.contains(raw):
+            if raw and not tgt_cell.cycles.contains(raw):
                 raise SpectralModelError(
                     f"differential image at ({p},{q}) is not a cycle on page {r}")
             _check_square_zero(page, diff, p, q, raw)
@@ -403,16 +390,13 @@ def turn_page(page: Page, diff: PageDifferential) -> Page:
             coord_cols.append(_cell_class_coords(tgt_cell, raw))
         for bnd in cell.boundaries.basis:
             image = diff.apply(q, bnd)
-            if image.any() and not tgt_cell.boundaries.contains(image):
+            if image and not tgt_cell.boundaries.contains(image):
                 raise SpectralModelError(
                     f"differential at ({p},{q}) is not well defined on cosets")
-        mat = (np.array(coord_cols, dtype=np.uint8).T
-               if coord_cols else np.zeros((tgt_cell.dim, 0), dtype=np.uint8))
-        kernel = gf2.kernel_basis(mat)
-        lifted = [(lam.astype(np.uint8) @ cell.reps) % 2 for lam in kernel.basis] \
-            if cell.dim else []
+        kernel = gf2.kernel_basis(coord_cols)
+        lifted = [gf2.combine(lam, cell.reps) for lam in kernel.basis]
         cycles[pos] = cell.boundaries.add(lifted)
-        images[pos] = [v for v in raws if v.any()]
+        images[pos] = [v for v in raws if v]
     new_cells = {}
     for p in range(stable + r + 1):
         for q in range(page.fiber_top + 1):
@@ -429,11 +413,11 @@ def turn_page(page: Page, diff: PageDifferential) -> Page:
 
 
 def _check_square_zero(page: Page, diff: PageDifferential, p: int, q: int,
-                       raw: np.ndarray):
-    if not raw.any():
+                       raw: int):
+    if not raw:
         return
     second = diff.apply(q + 1 - diff.r, raw)
-    if not second.any():
+    if not second:
         return
     cell2 = page.cell(p + 2 * diff.r, q + 2 - 2 * diff.r)
     if cell2 is not None and cell2.boundaries.contains(second):

@@ -1,11 +1,15 @@
-import numpy as np
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from orbitcoh.gf2 import (
     Subspace,
+    combine,
     image_basis,
     kernel_basis,
     rank,
@@ -14,109 +18,126 @@ from orbitcoh.gf2 import (
     subquotient,
 )
 
-
-def mat(rows):
-    return np.array(rows, dtype=np.uint8)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-small_matrices = arrays(
-    np.uint8,
-    st.tuples(st.integers(0, 6), st.integers(0, 6)),
-    elements=st.integers(0, 1),
-)
+def vec(bits):
+    """Bit mask of a coordinate list: bit j is coordinate j."""
+    return sum(b << j for j, b in enumerate(bits))
+
+
+def vectors_of(n):
+    return st.lists(st.integers(0, 2 ** n - 1), max_size=6)
+
+
+# (n, vectors): up to 6 vectors of width n <= 6, read as the rows of a
+# matrix or as the columns of a map into GF(2)^n
+small_matrices = st.integers(0, 6).flatmap(
+    lambda n: st.tuples(st.just(n), vectors_of(n)))
+matrix_pairs = st.integers(0, 6).flatmap(
+    lambda n: st.tuples(st.just(n), vectors_of(n), vectors_of(n)))
+
+
+def span(vectors):
+    """Every XOR combination of ``vectors``, by enumeration."""
+    return {combine(c, vectors) for c in range(2 ** len(vectors))}
 
 
 class TestRank:
     def test_empty_matrix(self):
-        assert rank(np.zeros((0, 0), dtype=np.uint8)) == 0
+        assert rank([]) == 0
 
     def test_identity(self):
-        assert rank(np.eye(2, dtype=np.uint8)) == 2
+        assert rank(Subspace.full(2).basis) == 2
 
     def test_repeated_rows(self):
-        assert rank(mat([[1, 1], [1, 1]])) == 1
+        assert rank([vec([1, 1]), vec([1, 1])]) == 1
 
     @given(small_matrices)
     def test_bounded_by_shape(self, m):
-        assert rank(m) <= min(m.shape)
+        n, vectors = m
+        assert rank(vectors) <= min(n, len(vectors))
 
 
 class TestKernel:
     def test_identity_has_zero_kernel(self):
-        assert kernel_basis(np.eye(3, dtype=np.uint8)).dim == 0
+        assert kernel_basis(Subspace.full(3).basis).dim == 0
 
     def test_zero_matrix_has_full_kernel(self):
-        assert kernel_basis(np.zeros((2, 3), dtype=np.uint8)).dim == 3
+        assert kernel_basis([0, 0, 0]).dim == 3
 
     def test_hand_solved_system(self):
-        ker = kernel_basis(mat([[1, 1, 0], [0, 0, 1]]))
+        # the map with rows (1 1 0) and (0 0 1), given by its three columns
+        ker = kernel_basis([vec([1, 0]), vec([1, 0]), vec([0, 1])])
         assert ker.dim == 1
-        assert ker.contains(mat([1, 1, 0])[0:3].reshape(3))
+        assert ker.contains(vec([1, 1, 0]))
 
     @given(small_matrices)
     def test_rank_nullity(self, m):
-        assert kernel_basis(m).dim + rank(m) == m.shape[1]
+        _, columns = m
+        assert kernel_basis(columns).dim + rank(columns) == len(columns)
 
     @given(small_matrices)
     def test_kernel_vectors_annihilated(self, m):
-        ker = kernel_basis(m)
+        _, columns = m
+        ker = kernel_basis(columns)
         for v in ker.basis:
-            assert not ((m.astype(int) @ v.astype(int)) % 2).any()
+            assert combine(v, columns) == 0
 
 
 class TestImage:
     def test_zero_matrix(self):
-        assert image_basis(np.zeros((2, 2), dtype=np.uint8)).dim == 0
+        assert image_basis([0, 0]).dim == 0
 
     def test_identity(self):
-        img = image_basis(np.eye(2, dtype=np.uint8))
+        img = image_basis(Subspace.full(2).basis)
         assert img.dim == 2
 
     def test_repeated_column(self):
-        img = image_basis(mat([[1, 0], [1, 0]]))
+        # the map with rows (1 0) and (1 0): columns (1 1) and (0 0)
+        img = image_basis([vec([1, 1]), 0])
         assert img.dim == 1
-        assert img.contains(np.array([1, 1], dtype=np.uint8))
+        assert img.contains(vec([1, 1]))
 
     @given(small_matrices)
     def test_dim_is_rank(self, m):
-        assert image_basis(m).dim == rank(m)
+        _, columns = m
+        assert image_basis(columns).dim == rank(columns)
 
 
 class TestSubquotient:
     def test_full_mod_zero(self):
         reps = subquotient(Subspace.full(2), Subspace.zero(2))
-        assert reps.shape[0] == 2
+        assert len(reps) == 2
 
     def test_exact_case_is_empty(self):
-        space = Subspace.from_vectors([[1, 0], [0, 1]], 2)
-        assert subquotient(space, space).shape[0] == 0
+        space = Subspace.from_vectors([vec([1, 0]), vec([0, 1])], 2)
+        assert len(subquotient(space, space)) == 0
 
     def test_echelon_complement(self):
         kernel = Subspace.full(3)
-        image = Subspace.from_vectors([[1, 1, 0]], 3)
+        image = Subspace.from_vectors([vec([1, 1, 0])], 3)
         reps = subquotient(kernel, image)
-        assert reps.shape[0] == 2
+        assert len(reps) == 2
         # representatives avoid the image's pivot column
-        assert not reps[:, 0].any()
+        assert not any(v & 1 for v in reps)
 
     def test_rejects_image_outside_kernel(self):
-        kernel = Subspace.from_vectors([[1, 0, 0]], 3)
-        image = Subspace.from_vectors([[0, 1, 0]], 3)
+        kernel = Subspace.from_vectors([vec([1, 0, 0])], 3)
+        image = Subspace.from_vectors([vec([0, 1, 0])], 3)
         with pytest.raises(ValueError):
             subquotient(kernel, image)
 
-    @given(small_matrices, small_matrices)
+    @given(matrix_pairs)
     @settings(max_examples=60)
-    def test_respanning_recovers_dimension(self, a, b):
-        if a.shape[1] != b.shape[1]:
-            return
-        n = a.shape[1]
+    def test_respanning_recovers_dimension(self, pair):
+        n, a, b = pair
         big = Subspace.from_vectors(a, n)
         small_candidate = Subspace.from_vectors(b, n)
         if not big.contains_subspace(small_candidate):
             return
         reps = subquotient(big, small_candidate)
-        assert reps.shape[0] == big.dim - small_candidate.dim
+        assert len(reps) == big.dim - small_candidate.dim
         respan = small_candidate.add(reps)
         assert respan == big
 
@@ -124,56 +145,106 @@ class TestSubquotient:
 class TestSubspace:
     @given(small_matrices)
     def test_echelonization_idempotent(self, m):
-        s = Subspace.from_vectors(m, m.shape[1])
+        n, vectors = m
+        s = Subspace.from_vectors(vectors, n)
         again = Subspace.from_vectors(s.basis, s.ambient_dim)
         assert s == again
 
     @given(small_matrices, st.randoms(use_true_random=False))
     def test_span_independent_of_row_order(self, m, rng):
-        rows = [r for r in m]
-        rng.shuffle(rows)
-        shuffled = np.array(rows, dtype=np.uint8).reshape(m.shape)
-        assert Subspace.from_vectors(m, m.shape[1]) == Subspace.from_vectors(
-            shuffled, m.shape[1]
-        )
+        n, vectors = m
+        shuffled = list(vectors)
+        rng.shuffle(shuffled)
+        assert Subspace.from_vectors(vectors, n) == Subspace.from_vectors(shuffled, n)
 
     def test_reduce_is_canonical_rep(self):
-        s = Subspace.from_vectors([[1, 1, 0]], 3)
-        v = np.array([1, 0, 0], dtype=np.uint8)
-        w = np.array([0, 1, 0], dtype=np.uint8)
+        s = Subspace.from_vectors([vec([1, 1, 0])], 3)
+        v = vec([1, 0, 0])
+        w = vec([0, 1, 0])
         # v and w differ by a subspace element, so they share a representative
-        assert np.array_equal(s.reduce(v), s.reduce(w))
+        assert s.reduce(v) == s.reduce(w)
+
+    def test_rejects_vector_wider_than_ambient(self):
+        with pytest.raises(ValueError):
+            Subspace.from_vectors([vec([1, 0]), vec([0, 0, 1])], 2)
 
 
 class TestSolve:
     def test_unique_solution(self):
-        rows = mat([[1, 1, 0], [0, 1, 1]])
-        x = solve(rows, np.array([1, 0, 1], dtype=np.uint8))
+        rows = [vec([1, 1, 0]), vec([0, 1, 1])]
+        x = solve(rows, vec([1, 0, 1]))
         assert x is not None
-        assert np.array_equal((x.astype(int) @ rows.astype(int)) % 2, [1, 0, 1])
+        assert combine(x, rows) == vec([1, 0, 1])
 
     def test_no_solution(self):
-        rows = mat([[1, 1, 0]])
-        assert solve(rows, np.array([1, 0, 0], dtype=np.uint8)) is None
+        rows = [vec([1, 1, 0])]
+        assert solve(rows, vec([1, 0, 0])) is None
 
     def test_empty_row_space(self):
-        rows = np.zeros((0, 3), dtype=np.uint8)
-        assert solve(rows, np.zeros(3, dtype=np.uint8)) is not None
-        assert solve(rows, np.array([1, 0, 0], dtype=np.uint8)) is None
+        assert solve([], 0) is not None
+        assert solve([], vec([1, 0, 0])) is None
 
     @given(small_matrices)
     def test_membership_roundtrip(self, m):
-        if m.shape[0] == 0:
+        _, vectors = m
+        if not vectors:
             return
-        target = np.bitwise_xor.reduce(m, axis=0)
-        x = solve(m, target)
+        target = combine(2 ** len(vectors) - 1, vectors)
+        x = solve(vectors, target)
         assert x is not None
-        assert np.array_equal((x.astype(int) @ m.astype(int)) % 2, target % 2)
+        assert combine(x, vectors) == target
 
 
 def test_rref_idempotent_example():
-    m = mat([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    m = [vec([1, 1, 0]), vec([1, 0, 1]), vec([0, 1, 1])]
     r1, piv1 = rref(m)
     r2, piv2 = rref(r1)
-    assert np.array_equal(r1, r2)
+    assert r1 == r2
     assert piv1 == piv2
+
+
+@given(small_matrices, st.data())
+@settings(max_examples=150)
+def test_packed_primitives_match_enumeration(m, data):
+    """Every primitive against the 2^k XOR combinations of its input."""
+    n, vectors = m
+    spanned = span(vectors)
+    space = Subspace.from_vectors(vectors, n)
+    assert span(space.basis) == spanned
+    assert Subspace.from_vectors(sorted(spanned, reverse=True), n) == space
+    assert list(space.pivots) == sorted(space.pivots)
+    for row, col in zip(space.basis, space.pivots):
+        assert row & -row == 1 << col
+        assert [c for c in space.pivots if row >> c & 1] == [col]
+    assert 2 ** space.dim == len(spanned) == 2 ** rank(vectors)
+    for v in range(2 ** n):
+        assert space.contains(v) == (v in spanned)
+        rep = space.reduce(v)
+        assert v ^ rep in spanned
+        assert not any(rep >> col & 1 for col in space.pivots)
+        for w in range(2 ** n):
+            assert (space.reduce(w) == rep) == (v ^ w in spanned)
+        x = solve(vectors, v)
+        assert (x is not None) == (v in spanned)
+        assert x is None or combine(x, vectors) == v
+
+    relations = {c for c in range(2 ** len(vectors)) if combine(c, vectors) == 0}
+    assert span(kernel_basis(vectors).basis) == relations
+
+    # the image is spanned by a drawn subset of the inputs, so it lies in the kernel
+    chosen = data.draw(st.integers(0, 2 ** len(vectors) - 1))
+    image = Subspace.from_vectors(
+        [v for i, v in enumerate(vectors) if chosen >> i & 1], n)
+    reps = subquotient(space, image)
+    assert len(reps) == space.dim - image.dim
+    assert span(reps) & span(image.basis) == {0}
+    assert {a ^ b for a in span(reps) for b in span(image.basis)} == spanned
+
+
+def test_runtime_imports_without_numpy():
+    code = ("import orbitcoh.spectral, orbitcoh.actions, sys; "
+            "assert 'numpy' not in sys.modules")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr

@@ -1,6 +1,5 @@
 import itertools
 
-import numpy as np
 import pytest
 
 from orbitcoh import gf2
@@ -318,7 +317,7 @@ class TestStructuralProperties:
                             for rep in cell.reps:
                                 once = diff.apply(q, rep)
                                 twice = diff.apply(q + 1 - page.r, once)
-                                if twice.any():
+                                if twice:
                                     cell2 = page.cell(p + 2 * page.r, q + 2 - 2 * page.r)
                                     assert cell2 is not None
                                     assert cell2.boundaries.contains(twice)
@@ -364,9 +363,8 @@ class TestStructuralProperties:
             if cell is None or cell.dim == 0 or p + q + 1 >= Q13_WINDOW:
                 continue
             images = [diff.apply(q, rep) for rep in cell.reps]
-            mat = np.array([v for v in images], dtype=np.uint8)
             from orbitcoh.gf2 import rank as gf2_rank
-            ranks[p + q] = ranks.get(p + q, 0) + gf2_rank(mat)
+            ranks[p + q] = ranks.get(p + q, 0) + gf2_rank(images)
         nxt = turn_page(page, diff)
         for j in range(0, 12):
             before = page.total_dimension(j)
@@ -410,7 +408,7 @@ class TestStableColumns:
                 n = len(fiber.degree_basis(q))
                 if n:
                     cells[(p, q)] = Cell(gf2.Subspace.full(n), gf2.Subspace.zero(n),
-                                         np.eye(n, dtype=np.uint8))
+                                         gf2.Subspace.full(n).basis)
         page = Page(fiber, 2, width, fiber.top_degree, cells)
         yield page
         while page.r < fiber.top_degree + 2:
