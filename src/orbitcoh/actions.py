@@ -13,6 +13,7 @@ these cohomological filters.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import gf2
@@ -90,19 +91,7 @@ def enumerate_candidates(pres: AlgebraPresentation) -> list[EndoCandidate]:
         raise ValueError("candidate enumeration needs a finite algebra")
     pools = [[(g.name, e) for e in pres.nonzero_elements(g.degree)]
              for g in pres.generators]
-    out = []
-
-    def walk(i, acc):
-        if i == len(pools):
-            out.append(EndoCandidate(tuple(acc)))
-            return
-        for item in pools[i]:
-            acc.append(item)
-            walk(i + 1, acc)
-            acc.pop()
-
-    walk(0, [])
-    return out
+    return [EndoCandidate(images) for images in itertools.product(*pools)]
 
 
 def apply_candidate(pres: AlgebraPresentation, cand: EndoCandidate,

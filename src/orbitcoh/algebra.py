@@ -87,6 +87,7 @@ class AlgebraPresentation:
         self._nf_cache: dict[Mono, frozenset[Mono]] = {}
         self._basis_cache: dict[int, tuple[Mono, ...]] = {}
         self._basis_index_cache: dict[int, dict[Mono, int]] = {}
+        self._caps = self._exponent_caps()
         self.top_degree = self._compute_top_degree()
 
     # -- monomial helpers -------------------------------------------------
@@ -132,22 +133,28 @@ class AlgebraPresentation:
                     f"rule {self.mono_str(lhs)} does not decrease the monomial order")
         return RewriteRule(lhs, rhs)
 
+    def _exponent_caps(self) -> tuple[int | None, ...]:
+        """Largest exponent of each generator in a normal-form monomial.
+
+        A pure-power rule ``g^k -> ...`` caps the exponent of ``g`` at
+        ``k - 1``; ``None`` means the generator has no such rule.
+        """
+        caps = []
+        for i in range(len(self.generators)):
+            powers = [r.lhs[i] for r in self.rules
+                      if r.lhs[i] > 0 and all(e == 0 for j, e in enumerate(r.lhs) if j != i)]
+            caps.append(min(powers) - 1 if powers else None)
+        return tuple(caps)
+
     def _compute_top_degree(self) -> int | None:
         """Largest degree with a nonzero basis, or None when unbounded.
 
-        Exponent bounds come from pure-power rule left-hand sides; a
-        generator without one is unbounded and the algebra is infinite.
+        A generator without an exponent cap is unbounded and the algebra is
+        infinite.
         """
-        if not self.generators:
-            return 0
-        bounds = []
-        for i, g in enumerate(self.generators):
-            powers = [r.lhs[i] for r in self.rules
-                      if r.lhs[i] > 0 and all(e == 0 for j, e in enumerate(r.lhs) if j != i)]
-            if not powers:
-                return None
-            bounds.append(min(powers) - 1)
-        ceiling = sum(b * g.degree for b, g in zip(bounds, self.generators))
+        if None in self._caps:
+            return None
+        ceiling = sum(b * d for b, d in zip(self._caps, self._degrees))
         for q in range(ceiling, -1, -1):
             if self.degree_basis(q):
                 return q
@@ -240,8 +247,9 @@ class AlgebraPresentation:
                     if self._find_rule(mono) is None:
                         found.append(mono)
                 return
-            d = self._degrees[i]
-            for e in range(remaining // d + 1):
+            d, cap = self._degrees[i], self._caps[i]
+            top = remaining // d if cap is None else min(remaining // d, cap)
+            for e in range(top + 1):
                 exps.append(e)
                 walk(i + 1, remaining - e * d, exps)
                 exps.pop()

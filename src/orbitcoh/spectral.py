@@ -8,14 +8,15 @@ specified transgressively: each fiber generator either survives every page
 row of the base, and everything else follows from base-linearity and the
 characteristic-2 Leibniz rule.
 
-A cell keeps three pieces of data, all in E_2 coordinates: the subspace of
-classes still alive (``cycles``), the subspace already hit (``boundaries``)
-and canonical coset representatives for their quotient.  A vector in row q
-is a bit mask over ``degree_basis(q)``, bit i for basis monomial i (see
-``gf2``); the ``t^p`` factor is implicit.  Turning a page is subquotient
-bookkeeping plus three guards that are *checked*, never assumed:
-compatibility of the derivation with every fiber relation, square zero,
-and representative independence.
+A cell is the subquotient ``cycles / boundaries`` of E_2: two subspaces in
+E_2 coordinates, the classes still alive and the classes already hit.  A
+vector in row q is a bit mask over ``degree_basis(q)``, bit i for basis
+monomial i (see ``gf2``); the ``t^p`` factor is implicit.  A class is
+named by its canonical representative ``boundaries.reduce(v)``, so turning
+a page needs no coset basis: the new cycles are the cycles whose image
+reduces to zero modulo the target's boundaries.  Three guards are
+*checked*, never assumed: compatibility of the derivation with every fiber
+relation, square zero, and representative independence.
 
 Stable columns: every differential is linear over ``F2[t]``, and
 multiplication by ``t`` maps each column of E_2 isomorphically onto the
@@ -100,18 +101,23 @@ class DifferentialAssignment:
 
 @dataclass
 class Cell:
-    """One bigraded spot: alive classes, hit classes, and coset reps.
+    """One bigraded spot: the subquotient ``cycles / boundaries``.
 
-    Every vector is a bit mask over ``degree_basis(q)`` of the cell's row q.
+    Every vector is a bit mask over ``degree_basis(q)`` of the cell's row q,
+    and ``boundaries`` lies inside ``cycles``.
     """
 
     cycles: gf2.Subspace
     boundaries: gf2.Subspace
-    reps: tuple[int, ...]     # canonical coset representatives
 
     @property
     def dim(self) -> int:
-        return len(self.reps)
+        return self.cycles.dim - self.boundaries.dim
+
+    @property
+    def reps(self) -> tuple[int, ...]:
+        """Canonical coset representatives, a basis of the cell's classes."""
+        return gf2.subquotient(self.cycles, self.boundaries)
 
 
 @dataclass
@@ -156,8 +162,7 @@ def build_e2(fiber: AlgebraPresentation) -> Page:
         ambient = len(fiber.degree_basis(q))
         if ambient == 0:
             continue
-        full = gf2.Subspace.full(ambient)
-        cells[(0, q)] = Cell(full, gf2.Subspace.zero(ambient), full.basis)
+        cells[(0, q)] = Cell(gf2.Subspace.full(ambient), gf2.Subspace.zero(ambient))
     return Page(fiber, 2, 0, fiber_top, cells)
 
 
@@ -193,9 +198,7 @@ def _wall_case_label(fiber: AlgebraPresentation,
     elif d_choice.page == 3:
         d_key = 4
     else:
-        basis = fiber.degree_basis(1)
-        mask = sum(1 << i for i, m in enumerate(basis) if m in d_choice.element.terms)
-        d_key = mask
+        d_key = fiber.to_vector(d_choice.element, 1)
     if not x_on and not c_on:
         if d_key is None:
             return GREEK_CASE_ZERO
@@ -324,14 +327,6 @@ def extend_by_leibniz(page: Page, assignment: DifferentialAssignment) -> PageDif
     return PageDifferential(r, active, rows)
 
 
-def _cell_class_coords(cell: Cell, vec: int) -> int:
-    """Coordinates of a cycle's class in the cell's coset basis, as a mask over ``reps``."""
-    coords = gf2.solve(cell.reps + cell.boundaries.basis, vec)
-    if coords is None:
-        raise SpectralModelError("vector does not represent a class in its cell")
-    return coords & ((1 << cell.dim) - 1)
-
-
 def _check_targets_alive(page: Page, active: dict[str, TransgressionTarget]):
     fiber = page.fiber
     for name, tgt in active.items():
@@ -378,24 +373,24 @@ def turn_page(page: Page, diff: PageDifferential) -> Page:
             # no target row: every image vanishes
             cycles[pos] = cell.cycles
             continue
-        coord_cols = []
         raws = []
-        for rep in cell.reps:
-            raw = diff.apply(q, rep)
+        for vec in cell.cycles.basis:
+            raw = diff.apply(q, vec)
             if raw and not tgt_cell.cycles.contains(raw):
                 raise SpectralModelError(
                     f"differential image at ({p},{q}) is not a cycle on page {r}")
             _check_square_zero(page, diff, p, q, raw)
             raws.append(raw)
-            coord_cols.append(_cell_class_coords(tgt_cell, raw))
         for bnd in cell.boundaries.basis:
             image = diff.apply(q, bnd)
             if image and not tgt_cell.boundaries.contains(image):
                 raise SpectralModelError(
                     f"differential at ({p},{q}) is not well defined on cosets")
-        kernel = gf2.kernel_basis(coord_cols)
-        lifted = [gf2.combine(lam, cell.reps) for lam in kernel.basis]
-        cycles[pos] = cell.boundaries.add(lifted)
+        # a cycle survives when its image is zero modulo the target's boundaries
+        kernel = gf2.kernel_basis([tgt_cell.boundaries.reduce(v) for v in raws])
+        cycles[pos] = gf2.Subspace.from_vectors(
+            (gf2.combine(lam, cell.cycles.basis) for lam in kernel.basis),
+            cell.cycles.ambient_dim)
         images[pos] = [v for v in raws if v]
     new_cells = {}
     for p in range(stable + r + 1):
@@ -408,7 +403,7 @@ def turn_page(page: Page, diff: PageDifferential) -> Page:
             if not kept.contains_subspace(boundaries):
                 raise SpectralModelError(
                     f"image is not contained in the kernel at {(p, q)} on page {r}")
-            new_cells[(p, q)] = Cell(kept, boundaries, gf2.subquotient(kept, boundaries))
+            new_cells[(p, q)] = Cell(kept, boundaries)
     return Page(page.fiber, r + 1, stable + r, page.fiber_top, new_cells)
 
 
@@ -473,19 +468,18 @@ def analyze_all(fiber: AlgebraPresentation, dim_x: int) -> list[CaseVerdict]:
     return [run_case(fiber, dim_x, a) for a in enumerate_assignments(fiber)]
 
 
-def format_grid(page: Page, max_q: int | None = None) -> str:
+def format_grid(page: Page) -> str:
     """Fixed-width dimension grid, q vertical and p horizontal.
 
     Shows the stored columns ``0..stable``; the last one repeats to the right.
     """
-    top = page.fiber_top if max_q is None else min(max_q, page.fiber_top)
     width = max(len(str(page.stable)), 2) + 1
     lines = [f"E_{page.r} page (fiber {page.fiber.name or 'custom'}, "
              f"columns 0..{page.stable})"]
     header = "  q\\p|" + "".join(str(p).rjust(width) for p in range(page.stable + 1))
     lines.append(header)
     lines.append("  " + "-" * (len(header) - 2))
-    for q in range(top, -1, -1):
+    for q in range(page.fiber_top, -1, -1):
         lines.append(str(q).rjust(4) + "|" + "".join(
             str(page.dim(p, q)).rjust(width) for p in range(page.stable + 1)))
     lines.append(f"  (column {page.stable} repeats in every column to its right)")

@@ -166,6 +166,24 @@ class TestDegreeBasis:
     def test_dold_1_1_dimensions(self):
         assert dold_presentation(1, 1).poincare_series(3) == [1, 1, 1, 1]
 
+    @given(st.integers(0, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
+           st.integers(1, 3), st.booleans())
+    @settings(max_examples=60)
+    def test_capped_walk_matches_filtered_enumeration(self, m, x_cap, d_deg, d_cap,
+                                                      u_deg, kill_xu):
+        # u has no pure-power rule, so its exponent is bounded only by the degree
+        gens = [("x", 1), ("c", 1), ("d", d_deg), ("u", u_deg)]
+        rules = [((x_cap, 0, 0, 0), ()), ((0, m + 1, 0, 0), [(1, m, 0, 0)]),
+                 ((0, 0, d_cap, 0), ())]
+        if kill_xu:
+            rules.append(((1, 0, 0, 1), ()))
+        pres = AlgebraPresentation(gens, rules)
+        assert pres.top_degree is None
+        for q in range(9):
+            brute = [mono for mono in itertools.product(range(q + 1), repeat=4)
+                     if pres.mono_degree(mono) == q and pres._find_rule(mono) is None]
+            assert pres.degree_basis(q) == tuple(sorted(brute, key=pres.order_key)), q
+
 
 class TestBuilders:
     def test_wall_shape(self):

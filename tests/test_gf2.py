@@ -128,6 +128,21 @@ class TestSubquotient:
         with pytest.raises(ValueError):
             subquotient(kernel, image)
 
+    @given(small_matrices, st.data())
+    def test_reduce_is_the_class_in_coset_coordinates(self, m, data):
+        # a class named by B.reduce(v) is the class that the solve against
+        # the coset basis names, for every B inside Z and every v in Z
+        n, vectors = m
+        cycles = Subspace.from_vectors(vectors, n)
+        chosen = data.draw(st.lists(st.integers(0, 2 ** cycles.dim - 1), max_size=4))
+        boundaries = Subspace.from_vectors(
+            [combine(c, cycles.basis) for c in chosen], n)
+        v = combine(data.draw(st.integers(0, 2 ** cycles.dim - 1)), cycles.basis)
+        reps = subquotient(cycles, boundaries)
+        coords = solve(reps + boundaries.basis, v)
+        assert coords is not None
+        assert boundaries.reduce(v) == combine(coords & ((1 << len(reps)) - 1), reps)
+
     @given(matrix_pairs)
     @settings(max_examples=60)
     def test_respanning_recovers_dimension(self, pair):

@@ -407,8 +407,7 @@ class TestStableColumns:
             for q in range(fiber.top_degree + 1):
                 n = len(fiber.degree_basis(q))
                 if n:
-                    cells[(p, q)] = Cell(gf2.Subspace.full(n), gf2.Subspace.zero(n),
-                                         gf2.Subspace.full(n).basis)
+                    cells[(p, q)] = Cell(gf2.Subspace.full(n), gf2.Subspace.zero(n))
         page = Page(fiber, 2, width, fiber.top_degree, cells)
         yield page
         while page.r < fiber.top_degree + 2:
