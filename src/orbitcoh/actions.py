@@ -110,19 +110,24 @@ def apply_candidate(pres: AlgebraPresentation, cand: EndoCandidate,
 
 def is_ring_endomorphism(pres: AlgebraPresentation,
                          cand: EndoCandidate) -> tuple[bool, str | None]:
-    """True when every relation maps to zero and all degree maps are bijective."""
+    """True when every relation maps to zero and the map is bijective.
+
+    Bijectivity is checked only in the generator degrees, in increasing
+    order (graded Nakayama lemma): A_q is spanned by the generators of
+    degree q and the products A_i * A_(q-i).  If T is bijective below q,
+    those products lie in T(A), so a degree with no generator cannot be the
+    first to fail; a surjective endomorphism of a finite-dimensional space
+    is bijective.  The degree reported is the smallest where T fails.
+    """
     for rule in pres.rules:
+        rhs = Element(pres, rule.rhs)
         lhs_img = apply_candidate(pres, cand, rule.lhs)
-        rhs_img = apply_candidate(pres, cand, Element(pres, rule.rhs))
+        rhs_img = apply_candidate(pres, cand, rhs)
         if lhs_img != rhs_img:
-            rhs_elem = Element(pres, rule.rhs)
-            return False, (
-                f"relation {pres.mono_str(rule.lhs)} = {rhs_elem} maps to "
-                f"{lhs_img} != {rhs_img}")
-    for q in range(1, pres.top_degree + 1):
+            return False, (f"relation {pres.mono_str(rule.lhs)} = {rhs} maps to "
+                           f"{lhs_img} != {rhs_img}")
+    for q in sorted({g.degree for g in pres.generators}):
         basis = pres.degree_basis(q)
-        if not basis:
-            continue
         cols = [pres.to_vector(apply_candidate(pres, cand, m), q) for m in basis]
         if gf2.rank(cols) < len(basis):
             return False, f"not bijective in degree {q}"
@@ -131,11 +136,14 @@ def is_ring_endomorphism(pres: AlgebraPresentation,
 
 def is_involutive(pres: AlgebraPresentation, cand: EndoCandidate) -> bool:
     """True when the candidate composed with itself fixes every generator."""
-    for g in pres.generators:
-        twice = apply_candidate(pres, cand, cand.image(g.name))
-        if twice != pres.gen(g.name):
-            return False
-    return True
+    return all(apply_candidate(pres, cand, img) == pres.gen(name)
+               for name, img in cand.images)
+
+
+def _fixes_degree(pres: AlgebraPresentation, cand: EndoCandidate, q: int) -> bool:
+    """True when the candidate fixes every basis monomial of degree ``q``."""
+    return all(apply_candidate(pres, cand, mono) == pres.element([mono])
+               for mono in pres.degree_basis(q))
 
 
 def bredon_obstruction(pres: AlgebraPresentation, cand: EndoCandidate,
@@ -150,10 +158,9 @@ def bredon_obstruction(pres: AlgebraPresentation, cand: EndoCandidate,
     if top is None or top > 2 * l:
         raise ObstructionInapplicable(
             f"cohomology does not vanish above degree {2 * l}")
-    for mono in pres.degree_basis(2 * l):
-        if apply_candidate(pres, cand, mono) != pres.element([mono]):
-            raise ObstructionInapplicable(
-                f"candidate is not the identity in degree {2 * l}")
+    if not _fixes_degree(pres, cand, 2 * l):
+        raise ObstructionInapplicable(
+            f"candidate is not the identity in degree {2 * l}")
     for a in pres.nonzero_elements(l):
         product = a * apply_candidate(pres, cand, a)
         if product:
@@ -163,11 +170,31 @@ def bredon_obstruction(pres: AlgebraPresentation, cand: EndoCandidate,
 
 def is_trivial_in_degrees_ge_2(pres: AlgebraPresentation,
                                cand: EndoCandidate) -> bool:
-    for q in range(2, pres.top_degree + 1):
-        for mono in pres.degree_basis(q):
-            if apply_candidate(pres, cand, mono) != pres.element([mono]):
-                return False
-    return True
+    return all(_fixes_degree(pres, cand, q) for q in range(2, pres.top_degree + 1))
+
+
+def _record(pres: AlgebraPresentation, cand: EndoCandidate, l: int) -> CandidateRecord:
+    """Run the filters cheapest-first and record the first that eliminates ``cand``."""
+    ok, reason = is_ring_endomorphism(pres, cand)
+    if not ok:
+        return CandidateRecord(cand, "eliminated", "ring_endomorphism", reason, None, None)
+    if not is_involutive(pres, cand):
+        return CandidateRecord(
+            cand, "eliminated", "involutivity",
+            "composed with itself, the map is not the identity", None, None)
+    try:
+        witness = bredon_obstruction(pres, cand, l)
+    except ObstructionInapplicable as exc:
+        reason = f"fixed-point obstruction inapplicable: {exc}"
+    else:
+        if witness is not None:
+            return CandidateRecord(
+                cand, "eliminated", "fixed_point_obstruction",
+                f"a = {witness.middle_class} has a * T(a) = {witness.product} != 0",
+                witness, None)
+        reason = "no obstruction found (not eliminated)"
+    return CandidateRecord(cand, "survives", None, reason, None,
+                           is_trivial_in_degrees_ge_2(pres, cand))
 
 
 def classify_free_actions(m: int, n: int) -> ActionReport:
@@ -179,34 +206,6 @@ def classify_free_actions(m: int, n: int) -> ActionReport:
     if n % 2 == 0:
         raise ValueError("classification requires odd n")
     pres = wall_presentation(m, n)
-    top = pres.top_degree
-    l = (top + 1) // 2
-    records = []
-    for cand in enumerate_candidates(pres):
-        ok, reason = is_ring_endomorphism(pres, cand)
-        if not ok:
-            records.append(CandidateRecord(cand, "eliminated",
-                                           "ring_endomorphism", reason, None, None))
-            continue
-        if not is_involutive(pres, cand):
-            records.append(CandidateRecord(
-                cand, "eliminated", "involutivity",
-                "composed with itself, the map is not the identity", None, None))
-            continue
-        try:
-            witness = bredon_obstruction(pres, cand, l)
-        except ObstructionInapplicable as exc:
-            records.append(CandidateRecord(
-                cand, "survives", None, f"fixed-point obstruction inapplicable: {exc}",
-                None, is_trivial_in_degrees_ge_2(pres, cand)))
-            continue
-        if witness is not None:
-            records.append(CandidateRecord(
-                cand, "eliminated", "fixed_point_obstruction",
-                f"a = {witness.middle_class} has a * T(a) = {witness.product} != 0",
-                witness, None))
-        else:
-            records.append(CandidateRecord(
-                cand, "survives", None, "no obstruction found (not eliminated)",
-                None, is_trivial_in_degrees_ge_2(pres, cand)))
-    return ActionReport(m, n, pres, tuple(records))
+    l = (pres.top_degree + 1) // 2
+    records = tuple(_record(pres, cand, l) for cand in enumerate_candidates(pres))
+    return ActionReport(m, n, pres, records)

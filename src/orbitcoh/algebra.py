@@ -192,25 +192,6 @@ class AlgebraPresentation:
             acc ^= self.reduce_mono(tuple(m))
         return frozenset(acc)
 
-    def reduce_mono_randomized(self, mono: Mono, rng) -> frozenset[Mono]:
-        """Normal form of a monomial along a randomized rewrite path.
-
-        Used by the test suite to confirm that all rewrite strategies agree
-        on confluent presentations.
-        """
-        work = [tuple(mono)]
-        parity: dict[Mono, int] = {}
-        while work:
-            cur = work.pop(rng.randrange(len(work)))
-            applicable = [r for r in self.rules if _mono_divides(r.lhs, cur)]
-            if not applicable:
-                parity[cur] = parity.get(cur, 0) ^ 1
-                continue
-            rule = applicable[rng.randrange(len(applicable))]
-            quo = _mono_div(cur, rule.lhs)
-            work.extend(_mono_mul(quo, rm) for rm in rule.rhs)
-        return frozenset(m for m, p in parity.items() if p)
-
     def check_confluence(self) -> ConfluenceFailure | None:
         """Resolve every critical pair; None means locally confluent.
 

@@ -89,15 +89,6 @@ class DifferentialAssignment:
     def active_at(self, r: int) -> dict[str, TransgressionTarget]:
         return {name: t for name, t in self.choices if t is not None and t.page == r}
 
-    def describe(self) -> str:
-        parts = []
-        for name, tgt in self.choices:
-            if tgt is None:
-                parts.append(f"{name}: permanent")
-            else:
-                parts.append(f"d{tgt.page}({name}) = {tgt.render(self.fiber)}")
-        return "; ".join(parts)
-
 
 @dataclass
 class Cell:

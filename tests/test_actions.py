@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orbitcoh import gf2
 from orbitcoh.actions import (
     EndoCandidate,
     ObstructionInapplicable,
@@ -9,13 +12,56 @@ from orbitcoh.actions import (
     enumerate_candidates,
     is_involutive,
     is_ring_endomorphism,
+    is_trivial_in_degrees_ge_2,
 )
-from orbitcoh.algebra import wall_presentation
+from orbitcoh.algebra import (
+    AlgebraPresentation,
+    Element,
+    dold_presentation,
+    wall_presentation,
+)
 
 
 def candidate(pres, **images):
     return EndoCandidate(tuple(
         (g.name, pres.parse_element(images[g.name])) for g in pres.generators))
+
+
+def every_degree_ring_check(pres, cand):
+    """Reference: the relation check, then a rank check in every degree 1..top."""
+    for rule in pres.rules:
+        lhs_img = apply_candidate(pres, cand, rule.lhs)
+        rhs_img = apply_candidate(pres, cand, Element(pres, rule.rhs))
+        if lhs_img != rhs_img:
+            rhs_elem = Element(pres, rule.rhs)
+            return False, (
+                f"relation {pres.mono_str(rule.lhs)} = {rhs_elem} maps to "
+                f"{lhs_img} != {rhs_img}")
+    for q in range(1, pres.top_degree + 1):
+        basis = pres.degree_basis(q)
+        if not basis:
+            continue
+        cols = [pres.to_vector(apply_candidate(pres, cand, m), q) for m in basis]
+        if gf2.rank(cols) < len(basis):
+            return False, f"not bijective in degree {q}"
+    return True, None
+
+
+@st.composite
+def monomial_presentations(draw):
+    """2-3 generators of degree 1-3 with pure-power caps 1-4 and optionally
+    one mixed rule g_i*g_j = 0; monomial rules are always confluent."""
+    k = draw(st.integers(2, 3))
+    degrees = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    caps = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    rules = [(tuple(cap if j == i else 0 for j in range(k)), ())
+             for i, cap in enumerate(caps)]
+    if draw(st.booleans()):
+        pair = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        rules.append((tuple(int(j in pair) for j in range(k)), ()))
+    pres = AlgebraPresentation(list(zip("xyz", degrees)), rules)
+    assert pres.check_confluence() is None
+    return pres
 
 
 class TestEnumeration:
@@ -73,6 +119,25 @@ class TestRingEndomorphism:
         assert not ok
         assert "c^3" in reason
 
+    @given(monomial_presentations().filter(lambda p: p.top_degree <= 12), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_generator_degrees_match_every_degree_on_random_presentations(self, pres, data):
+        for _ in range(10):
+            cand = EndoCandidate(tuple(
+                (g.name, data.draw(st.sampled_from(
+                    [pres.zero()] + pres.nonzero_elements(g.degree))))
+                for g in pres.generators))
+            assert is_ring_endomorphism(pres, cand) == every_degree_ring_check(pres, cand)
+
+    @pytest.mark.parametrize(
+        "pres",
+        [wall_presentation(m, n) for m in range(4) for n in range(6)]
+        + [dold_presentation(m, n) for m in range(4) for n in range(4)],
+        ids=lambda pres: pres.name)
+    def test_generator_degrees_match_every_degree_exhaustively(self, pres):
+        for cand in enumerate_candidates(pres):
+            assert is_ring_endomorphism(pres, cand) == every_degree_ring_check(pres, cand)
+
 
 class TestInvolutive:
     def test_identity(self):
@@ -118,6 +183,29 @@ class TestBredonObstruction:
         ident = candidate(q13, x="x", c="c", d="d")
         with pytest.raises(ObstructionInapplicable):
             bredon_obstruction(q13, ident, 3)
+
+    def test_rejects_when_not_identity_in_degree_2l(self):
+        q13 = wall_presentation(1, 3)
+        cand = candidate(q13, x="x", c="x", d="d")
+        with pytest.raises(ObstructionInapplicable,
+                           match="candidate is not the identity in degree 8"):
+            bredon_obstruction(q13, cand, 4)
+
+
+class TestTrivialAboveDegreeOne:
+    q13 = wall_presentation(1, 3)
+
+    def test_identity_is_trivial(self):
+        ident = candidate(self.q13, x="x", c="c", d="d")
+        assert is_trivial_in_degrees_ge_2(self.q13, ident)
+
+    def test_c_twist_is_not_trivial(self):
+        cand = candidate(self.q13, x="x", c="c + x", d="d")
+        assert not is_trivial_in_degrees_ge_2(self.q13, cand)
+
+    def test_d_twist_is_not_trivial(self):
+        cand = candidate(self.q13, x="x", c="c", d="d + x*c")
+        assert not is_trivial_in_degrees_ge_2(self.q13, cand)
 
 
 class TestClassification:
