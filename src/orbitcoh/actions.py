@@ -1,10 +1,11 @@
-"""Classification of induced involutions on the cohomology of Q(m, n).
+"""Classification of induced involutions on a finite cohomology ring.
 
 A candidate action is a degree-preserving assignment of images to the ring
 generators.  Candidates are filtered cheapest-first: ring-homomorphism and
 bijectivity constraints, then involutivity, then the fixed-point
 obstruction of Bredon (a middle-degree class ``a`` with ``a * T(a) != 0``
-forces a fixed point, so no *free* involution can induce the action).
+forces a fixed point, so no *free* involution can induce the action).  The
+filters are generic; ``classify_free_actions`` is the one Wall entry point.
 
 A surviving candidate is only "not eliminated": no implemented obstruction
 kills it.  Realization by an actual free involution is outside the reach of
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import gf2
+from . import gf2, wall
 from .algebra import AlgebraPresentation, Element, wall_presentation
 
 
@@ -66,23 +67,17 @@ class ActionReport:
     def survivors(self) -> tuple[CandidateRecord, ...]:
         return tuple(r for r in self.records if r.status == "survives")
 
-    def _is_identity_or_twist(self, record: CandidateRecord) -> bool:
-        pres = self.presentation
-        cand = record.candidate
-        if cand.image("x") != pres.gen("x") or cand.image("d") != pres.gen("d"):
-            return False
-        return cand.image("c") in (pres.gen("c"), pres.gen("c") + pres.gen("x"))
+    @property
+    def unresolved(self) -> tuple[CandidateRecord, ...]:
+        """Survivors other than the identity and the c -> c + x twist
+        (``wall.is_identity_or_twist``): the undecided cases."""
+        return tuple(r for r in self.survivors()
+                     if not wall.is_identity_or_twist(self.presentation, r.candidate))
 
     @property
     def classification_complete(self) -> bool:
-        """True when every survivor is the identity or the c -> c + x twist."""
-        return all(self._is_identity_or_twist(r) for r in self.survivors())
-
-    @property
-    def unresolved(self) -> tuple[CandidateRecord, ...]:
-        """Survivors beyond the identity/twist pair (undecided cases)."""
-        return tuple(r for r in self.survivors()
-                     if not self._is_identity_or_twist(r))
+        """True when no survivor is undecided."""
+        return not self.unresolved
 
 
 def enumerate_candidates(pres: AlgebraPresentation) -> list[EndoCandidate]:

@@ -119,8 +119,10 @@ class AlgebraPresentation:
     def _validate_rule(self, lhs, rhs) -> RewriteRule:
         lhs = tuple(int(e) for e in lhs)
         rhs = frozenset(tuple(int(e) for e in m) for m in rhs)
-        if len(lhs) != len(self.generators):
-            raise PresentationError("rule arity does not match generator count")
+        for m in (lhs, *rhs):
+            if len(m) != len(self.generators) or min(m, default=0) < 0:
+                raise PresentationError(
+                    f"rule monomial {m} needs {len(self.generators)} exponents >= 0")
         deg = self.mono_degree(lhs)
         if deg < 1:
             raise PresentationError("rule left-hand side must have positive degree")

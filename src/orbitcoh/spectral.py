@@ -34,10 +34,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import gf2
+from . import gf2, wall
 from .algebra import AlgebraPresentation, Element, Mono
-
-GREEK_CASE_ZERO = "Z"
 
 
 class LeibnizInconsistency(Exception):
@@ -116,7 +114,6 @@ class Page:
     fiber: AlgebraPresentation
     r: int
     stable: int                         # column S: it stands for every p >= S
-    fiber_top: int
     cells: dict[tuple[int, int], Cell]  # columns 0..stable only
 
     def cell(self, p: int, q: int) -> Cell | None:
@@ -147,14 +144,13 @@ def build_e2(fiber: AlgebraPresentation) -> Page:
     """Tensor-product starting page: column 0, which every column repeats."""
     if fiber.top_degree is None:
         raise SpectralModelError("the fiber algebra must be finite-dimensional")
-    fiber_top = fiber.top_degree
     cells = {}
-    for q in range(fiber_top + 1):
+    for q in range(fiber.top_degree + 1):
         ambient = len(fiber.degree_basis(q))
         if ambient == 0:
             continue
         cells[(0, q)] = Cell(gf2.Subspace.full(ambient), gf2.Subspace.zero(ambient))
-    return Page(fiber, 2, 0, fiber_top, cells)
+    return Page(fiber, 2, 0, cells)
 
 
 # -- assignment enumeration ----------------------------------------------------
@@ -168,65 +164,24 @@ def _generator_choices(fiber: AlgebraPresentation, gen) -> list[TransgressionTar
     return choices
 
 
-def _is_wall_shaped(fiber: AlgebraPresentation) -> bool:
-    return [(g.name, g.degree) for g in fiber.generators] == [
-        ("x", 1), ("c", 1), ("d", 2)]
-
-
-def _wall_case_label(fiber: AlgebraPresentation,
-                     choices: dict[str, TransgressionTarget | None]) -> str:
-    """Single-letter taxonomy for the three-generator mapping-torus fiber.
-
-    The letter records which generators transgress and on which page; the
-    numeric suffix indexes the target choice for ``d`` (1..3 for the three
-    degree-1 targets on page 2, 4 for the page-3 transgression).
-    """
-    x_on = choices["x"] is not None
-    c_on = choices["c"] is not None
-    d_choice = choices["d"]
-    if d_choice is None:
-        d_key = None
-    elif d_choice.page == 3:
-        d_key = 4
-    else:
-        d_key = fiber.to_vector(d_choice.element, 1)
-    if not x_on and not c_on:
-        if d_key is None:
-            return GREEK_CASE_ZERO
-        if d_key == 4:
-            return "A"
-        return f"B{d_key}"
-    letter = {(True, True): ("C", "D"), (True, False): ("E", "F"),
-              (False, True): ("H", "G")}[(x_on, c_on)]
-    if d_key is None:
-        return letter[0]
-    return f"{letter[1]}{d_key}"
-
-
 def enumerate_assignments(fiber: AlgebraPresentation) -> list[DifferentialAssignment]:
     """Every combination of per-generator differential choices.
 
     Each generator is either a permanent cocycle or carries one nonzero
     target on one admissible page; first-quadrant bidegrees bound the page
-    by ``deg(g) + 1``.
+    by ``deg(g) + 1``.  The label is the paper's letter on the Wall fiber
+    (``wall.case_label``), else the list of nonzero differentials, else Z.
     """
     if fiber.top_degree is None:
         raise SpectralModelError("the fiber algebra must be finite-dimensional")
     pools = [_generator_choices(fiber, g) for g in fiber.generators]
-    wall_shaped = _is_wall_shaped(fiber)
     assignments = []
     for combo in itertools.product(*pools):
         choices = tuple((g.name, tgt) for g, tgt in zip(fiber.generators, combo))
-        mapping = dict(choices)
-        if wall_shaped:
-            label = _wall_case_label(fiber, mapping)
-        else:
-            active = [(name, tgt) for name, tgt in choices if tgt is not None]
-            if not active:
-                label = GREEK_CASE_ZERO
-            else:
-                label = "; ".join(
-                    f"d{t.page}({name})={t.render(fiber)}" for name, t in active)
+        label = (wall.case_label(fiber, choices)
+                 or "; ".join(f"d{t.page}({name})={t.render(fiber)}"
+                              for name, t in choices if t is not None)
+                 or "Z")
         assignments.append(DifferentialAssignment(fiber, choices, label))
     return assignments
 
@@ -314,27 +269,28 @@ def extend_by_leibniz(page: Page, assignment: DifferentialAssignment) -> PageDif
                 f"the differential sends the two sides to t^{r}*({lhs_val}) "
                 f"and t^{r}*({rhs_val})")
     _check_targets_alive(page, active)
-    rows = {q: _derivation_matrix(fiber, active, q) for q in range(page.fiber_top + 1)}
+    rows = {q: _derivation_matrix(fiber, active, q) for q in range(fiber.top_degree + 1)}
     return PageDifferential(r, active, rows)
 
 
 def _check_targets_alive(page: Page, active: dict[str, TransgressionTarget]):
     fiber = page.fiber
     for name, tgt in active.items():
+        # a generator that is zero in the algebra has no degree of its own
         gen_deg = fiber.generators[fiber.gen_index[name]].degree
-        source = page.cell(0, gen_deg)
-        src_vec = fiber.to_vector(fiber.gen(name), gen_deg)
-        if source is None or not source.cycles.contains(src_vec) \
-                or source.boundaries.contains(src_vec):
+        if not _is_nonzero_class(page, 0, gen_deg, fiber.gen(name)):
             raise SpectralModelError(
                 f"generator {name} no longer represents a class on page {page.r}")
-        target_cell = page.cell(tgt.page, tgt.element.degree)
-        tgt_vec = fiber.to_vector(tgt.element, tgt.element.degree)
-        if target_cell is None or not target_cell.cycles.contains(tgt_vec) \
-                or target_cell.boundaries.contains(tgt_vec):
+        if not _is_nonzero_class(page, tgt.page, tgt.element.degree, tgt.element):
             raise SpectralModelError(
                 f"declared target {tgt.render(fiber)} for {name} is not a "
                 f"nonzero class on page {page.r}")
+
+
+def _is_nonzero_class(page: Page, p: int, q: int, elem: Element) -> bool:
+    cell = page.cell(p, q)
+    vec = page.fiber.to_vector(elem, q)
+    return cell is not None and cell.cycles.contains(vec) and not cell.boundaries.contains(vec)
 
 
 def turn_page(page: Page, diff: PageDifferential) -> Page:
@@ -352,7 +308,7 @@ def turn_page(page: Page, diff: PageDifferential) -> Page:
     if diff.r != page.r:
         raise ValueError("differential was computed for a different page")
     if not diff.active:
-        return Page(page.fiber, page.r + 1, page.stable, page.fiber_top, page.cells)
+        return Page(page.fiber, page.r + 1, page.stable, page.cells)
     r, stable = page.r, page.stable
     images: dict[tuple[int, int], list[int]] = {}   # by source cell
     cycles: dict[tuple[int, int], gf2.Subspace] = {}
@@ -385,7 +341,7 @@ def turn_page(page: Page, diff: PageDifferential) -> Page:
         images[pos] = [v for v in raws if v]
     new_cells = {}
     for p in range(stable + r + 1):
-        for q in range(page.fiber_top + 1):
+        for q in range(page.fiber.top_degree + 1):
             cell = page.cell(p, q)
             if cell is None:
                 continue
@@ -395,7 +351,7 @@ def turn_page(page: Page, diff: PageDifferential) -> Page:
                 raise SpectralModelError(
                     f"image is not contained in the kernel at {(p, q)} on page {r}")
             new_cells[(p, q)] = Cell(kept, boundaries)
-    return Page(page.fiber, r + 1, stable + r, page.fiber_top, new_cells)
+    return Page(page.fiber, r + 1, stable + r, new_cells)
 
 
 def _check_square_zero(page: Page, diff: PageDifferential, p: int, q: int,
@@ -417,7 +373,7 @@ def _check_square_zero(page: Page, diff: PageDifferential, p: int, q: int,
 
 
 def pages(fiber: AlgebraPresentation, assignment: DifferentialAssignment):
-    """Yield E_2, E_3, ..., E_{fiber_top + 2} for one assignment.
+    """Yield E_2, E_3, ..., E_{top + 2} for one assignment, top the fiber's top degree.
 
     Beyond the last page every differential leaves the first quadrant.
     Raises ``LeibnizInconsistency`` on the page where the case dies.
@@ -434,7 +390,7 @@ def run_case(fiber: AlgebraPresentation, dim_x: int,
     """Drive one assignment to its limit page and render a verdict.
 
     A surviving case must satisfy the free-action vanishing bound: the total
-    complex is zero in degrees ``dim_x < j <= dim_x + fiber_top``.
+    complex is zero in degrees ``dim_x < j <= dim_x + fiber.top_degree``.
     """
     try:
         for page in pages(fiber, assignment):
@@ -470,7 +426,7 @@ def format_grid(page: Page) -> str:
     header = "  q\\p|" + "".join(str(p).rjust(width) for p in range(page.stable + 1))
     lines.append(header)
     lines.append("  " + "-" * (len(header) - 2))
-    for q in range(page.fiber_top, -1, -1):
+    for q in range(page.fiber.top_degree, -1, -1):
         lines.append(str(q).rjust(4) + "|" + "".join(
             str(page.dim(p, q)).rjust(width) for p in range(page.stable + 1)))
     lines.append(f"  (column {page.stable} repeats in every column to its right)")

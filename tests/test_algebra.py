@@ -289,6 +289,16 @@ class TestValidation:
         with pytest.raises(PresentationError):
             AlgebraPresentation([("x", 1), ("c", 1)], [((1, 1), [(0, 2)])])
 
+    def test_rejects_negative_exponent(self):
+        # x^-1 * y^2 has degree 1, so only the sign check catches it
+        with pytest.raises(PresentationError, match="exponents >= 0"):
+            AlgebraPresentation([("x", 1), ("y", 1)], [((-1, 2), ())])
+
+    def test_rejects_wrong_length_rhs_monomial(self):
+        # (1, 1, 0) has degree 2 and is below y^2 in the order over two generators
+        with pytest.raises(PresentationError, match="needs 2 exponents"):
+            AlgebraPresentation([("x", 1), ("y", 1)], [((0, 2), [(1, 1, 0)])])
+
     def test_element_homogeneity_enforced(self):
         q13 = wall_presentation(1, 3)
         with pytest.raises(ValueError):

@@ -91,7 +91,7 @@ class TestBuildE2:
         point = AlgebraPresentation([], [])
         page = build_e2(point)
         assert all(page.dim(p, 0) == 1 for p in range(5))
-        assert page.fiber_top == 0
+        assert page.fiber.top_degree == 0
 
 
 class TestEnumeration:
@@ -200,6 +200,29 @@ class TestLeibnizGuard:
         assert "d^5" in str(err.value)
 
 
+class TestTargetGuards:
+    """The two ``SpectralModelError`` guards, checked where they fire."""
+
+    def test_dead_declared_target(self):
+        # d_2(a) = t^2 kills t^2 and with it t^3 = t * t^2 by F2[t]-linearity
+        fiber = AlgebraPresentation([("a", 1), ("b", 2)], [((2, 0), ()), ((0, 2), ())])
+        asgn = assignments_by_id(fiber)["d2(a)=t^2; d3(b)=t^3"]
+        e3 = page_r(fiber, asgn, 3)
+        with pytest.raises(SpectralModelError) as err:
+            extend_by_leibniz(e3, asgn)
+        assert str(err.value) == "declared target t^3 for b is not a nonzero class on page 3"
+
+    def test_image_that_is_not_a_cycle(self):
+        # d_2(b) = t^2*a, so b is no longer a cycle, yet d_3(a*b) = t^3*b
+        fiber = AlgebraPresentation([("a", 2), ("b", 3)], [((2, 0), ()), ((0, 2), ())])
+        asgn = assignments_by_id(fiber)["d3(a)=t^3; d2(b)=t^2*a"]
+        e3 = page_r(fiber, asgn, 3)
+        diff = extend_by_leibniz(e3, asgn)
+        with pytest.raises(SpectralModelError) as err:
+            turn_page(e3, diff)
+        assert str(err.value) == "differential image at (0,5) is not a cycle on page 3"
+
+
 class TestTurnPage:
     def test_zero_differential_keeps_dimensions(self):
         q13 = wall_presentation(1, 3)
@@ -225,7 +248,7 @@ class TestTurnPage:
         for case in ("B1", "B2", "B3"):
             e3 = page_r(q13, by_id[case], 3)
             grids.append([[e3.dim(p, q) for p in range(Q13_WINDOW + 1)]
-                          for q in range(e3.fiber_top + 1)])
+                          for q in range(e3.fiber.top_degree + 1)])
         assert grids[0] == grids[1] == grids[2]
 
     def test_case_a_e4_pattern(self):
@@ -408,7 +431,7 @@ class TestStableColumns:
                 n = len(fiber.degree_basis(q))
                 if n:
                     cells[(p, q)] = Cell(gf2.Subspace.full(n), gf2.Subspace.zero(n))
-        page = Page(fiber, 2, width, fiber.top_degree, cells)
+        page = Page(fiber, 2, width, cells)
         yield page
         while page.r < fiber.top_degree + 2:
             page = turn_page(page, extend_by_leibniz(page, assignment))

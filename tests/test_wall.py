@@ -1,0 +1,109 @@
+import ast
+from pathlib import Path
+
+import pytest
+
+from orbitcoh import actions, spectral
+from orbitcoh.actions import classify_free_actions
+from orbitcoh.algebra import AlgebraPresentation, sphere_presentation, wall_presentation
+from orbitcoh.spectral import enumerate_assignments
+from orbitcoh.wall import case_label, is_identity_or_twist
+
+
+def reference_case_label(fiber, choices):
+    """The case letters as nested branches, the form they had inside the
+    spectral engine; ``choices`` maps generator names to targets."""
+    x_on = choices["x"] is not None
+    c_on = choices["c"] is not None
+    d_choice = choices["d"]
+    if d_choice is None:
+        d_key = None
+    elif d_choice.page == 3:
+        d_key = 4
+    else:
+        d_key = fiber.to_vector(d_choice.element, 1)
+    if not x_on and not c_on:
+        if d_key is None:
+            return "Z"
+        if d_key == 4:
+            return "A"
+        return f"B{d_key}"
+    letter = {(True, True): ("C", "D"), (True, False): ("E", "F"),
+              (False, True): ("H", "G")}[(x_on, c_on)]
+    if d_key is None:
+        return letter[0]
+    return f"{letter[1]}{d_key}"
+
+
+def reference_is_identity_or_twist(pres, cand):
+    if cand.image("x") != pres.gen("x") or cand.image("d") != pres.gen("d"):
+        return False
+    return cand.image("c") in (pres.gen("c"), pres.gen("c") + pres.gen("x"))
+
+
+class TestCaseLabel:
+    @pytest.mark.parametrize("m", range(5))
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_reference(self, m, n):
+        # Q(0, n) has c = x in degree 1, and Q(m, 0) has d = 0
+        fiber = wall_presentation(m, n)
+        for asgn in enumerate_assignments(fiber):
+            label = case_label(fiber, asgn.choices)
+            assert label == reference_case_label(fiber, dict(asgn.choices))
+            assert asgn.case_id == label
+
+    def test_q01_labels(self):
+        ids = [a.case_id for a in enumerate_assignments(wall_presentation(0, 1))]
+        assert ids == ["Z", "B1", "A", "H", "G1", "G4", "E", "F1", "F4", "C", "D1", "D4"]
+
+    def test_reordered_wall_names_get_generic_labels(self):
+        # Q(1, 3) with c listed before x, so the rule is x^2 = x*c
+        fiber = AlgebraPresentation(
+            [("c", 1), ("x", 1), ("d", 2)],
+            [((2, 0, 0), ()), ((0, 2, 0), [(1, 1, 0)]), ((0, 0, 4), ())])
+        asgns = enumerate_assignments(fiber)
+        assert all(case_label(fiber, a.choices) is None for a in asgns)
+        assert [a.case_id for a in asgns[:2]] == ["Z", "d2(d)=t^2*c"]
+        assert all(a.case_id.startswith("d") for a in asgns[1:])
+
+    def test_other_fibers_get_no_letter(self):
+        for fiber in (sphere_presentation(2), AlgebraPresentation(
+                [("x", 1), ("c", 1), ("d", 4)], [((2, 0, 0), ()), ((0, 2, 0), ()),
+                                                 ((0, 0, 2), ())])):
+            for asgn in enumerate_assignments(fiber):
+                assert case_label(fiber, asgn.choices) is None
+
+
+class TestIdentityOrTwist:
+    @pytest.mark.parametrize("m", range(4))
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_matches_reference(self, m, n):
+        report = classify_free_actions(m, n)
+        pres = report.presentation
+        for record in report.records:
+            assert is_identity_or_twist(pres, record.candidate) == \
+                reference_is_identity_or_twist(pres, record.candidate)
+        expected = tuple(r for r in report.survivors()
+                         if not reference_is_identity_or_twist(pres, r.candidate))
+        assert report.unresolved == expected
+        assert report.classification_complete == (not report.unresolved)
+
+    def test_q13_unresolved_twist_d(self):
+        unresolved = classify_free_actions(1, 3).unresolved
+        assert [r.candidate.describe() for r in unresolved] == [
+            "x -> x, c -> c, d -> d + x*c",
+            "x -> x, c -> c + x, d -> d + x*c",
+        ]
+
+
+@pytest.mark.parametrize("module", [spectral, actions], ids=lambda m: m.__name__)
+def test_engine_names_no_wall_generator(module):
+    """Only ``wall`` (and ``algebra.wall_presentation``) may name x, c or d."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    # f-string text such as the d of d{r}(g) names a differential, not a generator
+    fragments = {id(part) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+                 for part in node.values}
+    named = [(node.lineno, node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value in ("x", "c", "d")
+             and id(node) not in fragments]
+    assert not named
