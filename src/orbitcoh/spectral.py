@@ -32,7 +32,9 @@ total degree is therefore exact.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
+from operator import add
 
 from . import gf2, wall
 from .algebra import AlgebraPresentation, Element, Mono
@@ -88,7 +90,7 @@ class DifferentialAssignment:
         return {name: t for name, t in self.choices if t is not None and t.page == r}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cell:
     """One bigraded spot: the subquotient ``cycles / boundaries``.
 
@@ -109,7 +111,7 @@ class Cell:
         return gf2.subquotient(self.cycles, self.boundaries)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Page:
     fiber: AlgebraPresentation
     r: int
@@ -124,7 +126,19 @@ class Page:
         return cell.dim if cell is not None else 0
 
     def total_dimension(self, j: int) -> int:
-        return sum(self.dim(p, j - p) for p in range(0, j + 1))
+        return self.total_dimensions(j)[j] if j >= 0 else 0
+
+    def total_dimensions(self, up_to: int) -> list[int]:
+        """Total dimension in degrees 0..up_to, in one sweep over the cells: a
+        cell in column p < S counts in degree p + q only, and a cell in column
+        S, which stands for every later column, in every degree from S + q on."""
+        steps = [0] * (up_to + 2)   # steps[j]: change of the total at degree j
+        for (p, q), cell in self.cells.items():
+            if p + q <= up_to:
+                steps[p + q] += cell.dim
+                if p < self.stable:
+                    steps[p + q + 1] -= cell.dim
+        return list(itertools.accumulate(steps[:-1]))
 
 
 @dataclass(frozen=True)
@@ -140,16 +154,24 @@ class CaseVerdict:
         return self.assignment.case_id
 
 
+# E_2's cells by fiber, built once and shared by every run on that fiber.  The
+# value is the cells dict and not a Page: a Page holds its fiber, which would
+# keep the weak key alive for good.
+_E2_CELLS = weakref.WeakKeyDictionary()
+
+
 def build_e2(fiber: AlgebraPresentation) -> Page:
     """Tensor-product starting page: column 0, which every column repeats."""
     if fiber.top_degree is None:
         raise SpectralModelError("the fiber algebra must be finite-dimensional")
-    cells = {}
-    for q in range(fiber.top_degree + 1):
-        ambient = len(fiber.degree_basis(q))
-        if ambient == 0:
-            continue
-        cells[(0, q)] = Cell(gf2.Subspace.full(ambient), gf2.Subspace.zero(ambient))
+    cells = _E2_CELLS.get(fiber)
+    if cells is None:
+        cells = {}
+        for q in range(fiber.top_degree + 1):
+            ambient = len(fiber.degree_basis(q))
+            if ambient:
+                cells[(0, q)] = Cell(gf2.Subspace.full(ambient), gf2.Subspace.zero(ambient))
+        _E2_CELLS[fiber] = cells
     return Page(fiber, 2, 0, cells)
 
 
@@ -201,16 +223,21 @@ def differential_value(fiber: AlgebraPresentation,
     odd exponents (``c^2 = x*c`` in Q(1, n)) and a nonzero value, and
     whether the two sides of such a relation agree is the relation guard's
     business in ``extend_by_leibniz``.
+
+    Terms are XORed into one set by the same ``reduce_mono`` calls that
+    ``fiber.element([lowered]) * tgt.element`` makes, on any presentation.
     """
-    total = fiber.zero()
+    terms: set[Mono] = set()
     for name, tgt in active.items():
         idx = fiber.gen_index[name]
         e = mono[idx]
         if e % 2:
             lowered = list(mono)
             lowered[idx] = e - 1
-            total = total + fiber.element([tuple(lowered)]) * tgt.element
-    return total
+            for a in fiber.reduce_mono(tuple(lowered)):
+                for b in tgt.element.terms:
+                    terms ^= fiber.reduce_mono(tuple(map(add, a, b)))
+    return Element(fiber, frozenset(terms))
 
 
 def _derivation_matrix(fiber, active, q: int) -> list[int]:
@@ -398,8 +425,9 @@ def run_case(fiber: AlgebraPresentation, dim_x: int,
     except LeibnizInconsistency as exc:
         return CaseVerdict(assignment, "eliminated", "leibniz_inconsistent",
                            str(exc), None)
-    violations = [j for j in range(dim_x + 1, dim_x + fiber.top_degree + 1)
-                  if page.total_dimension(j) > 0]
+    totals = page.total_dimensions(dim_x + fiber.top_degree)
+    violations = [j for j in range(max(dim_x + 1, 0), dim_x + fiber.top_degree + 1)
+                  if totals[j] > 0]
     if not violations:
         return CaseVerdict(assignment, "survives", None, None, page)
     if len(violations) == fiber.top_degree:

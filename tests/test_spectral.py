@@ -1,10 +1,17 @@
+import dataclasses
+import gc
+import hashlib
 import itertools
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from test_actions import monomial_presentations
 
 from orbitcoh import gf2
 from orbitcoh.algebra import (
     AlgebraPresentation,
+    dold_presentation,
     sphere_presentation,
     wall_presentation,
 )
@@ -13,6 +20,7 @@ from orbitcoh.spectral import (
     LeibnizInconsistency,
     Page,
     SpectralModelError,
+    TransgressionTarget,
     analyze_all,
     build_e2,
     differential_value,
@@ -448,11 +456,15 @@ class TestStableColumns:
             return grids, (type(exc), str(exc))
         return grids, None
 
-    def test_stable_columns_match_explicit_columns(self):
+    @staticmethod
+    def fibers():
+        """The fibers of the 552 assignments checked here."""
         fibers = [wall_presentation(m, n) for m, n in ((1, 3), (1, 4), (1, 5), (3, 5))]
-        fibers += list(two_generator_fibers()) + spheres()
+        return fibers + list(two_generator_fibers()) + spheres()
+
+    def test_stable_columns_match_explicit_columns(self):
         cases = 0
-        for fiber in fibers:
+        for fiber in self.fibers():
             top = fiber.top_degree
             for asgn in enumerate_assignments(fiber):
                 # S grows by r on each active page, so it ends at most at this sum
@@ -463,6 +475,32 @@ class TestStableColumns:
                 assert engine == explicit, (fiber.name, asgn.case_id)
                 cases += 1
         assert cases == 552
+
+    def test_total_dimensions_match_naive_sums(self):
+        # the one-sweep totals against summing page.dim along each diagonal,
+        # on every page up to the one where a case dies
+        cases = 0
+        for fiber in self.fibers():
+            top = fiber.top_degree
+            for asgn in enumerate_assignments(fiber):
+                try:
+                    for page in pages(fiber, asgn):
+                        up_to = 2 * (top + page.stable)
+                        # rows above top are empty, so p starts at j - top
+                        naive = [sum(page.dim(p, j - p) for p in range(max(j - top, 0), j + 1))
+                                 for j in range(up_to + 1)]
+                        assert page.total_dimensions(up_to) == naive, (
+                            fiber.name, asgn.case_id, page.r)
+                        assert page.total_dimension(up_to) == naive[up_to]
+                except (LeibnizInconsistency, SpectralModelError):
+                    pass
+                cases += 1
+        assert cases == 552
+
+    def test_total_dimension_is_zero_in_negative_degrees(self):
+        page = build_e2(wall_presentation(1, 3))
+        assert page.total_dimensions(-1) == []
+        assert page.total_dimension(-1) == page.total_dimension(-5) == 0
 
     def test_survivors_vanish_above_dim_x_and_halve_euler_characteristic(self):
         # dim_x is the fiber's top degree, as for a closed manifold
@@ -476,7 +514,7 @@ class TestStableColumns:
                 try:
                     verdict = run_case(fiber, dim_x, asgn)
                 except SpectralModelError:
-                    continue    # a declared class died early: no verdict (ROADMAP item 2)
+                    continue    # a declared class died early: no verdict (ROADMAP Open item 1)
                 if verdict.outcome != "survives":
                     continue
                 survivors += 1
@@ -486,3 +524,144 @@ class TestStableColumns:
                 chi = euler(e_inf.total_dimension(j) for j in range(dim_x + 1))
                 assert 2 * chi == chi_fiber, (fiber.name, asgn.case_id)
         assert survivors == 135     # 124 two-generator, 3 Wall, 8 spheres
+
+
+class TestE2Cache:
+    """E_2's cells are built once per fiber and shared by every run on it."""
+
+    def test_cache_does_not_keep_the_fiber_alive(self):
+        fiber = wall_presentation(1, 3)
+        ref = weakref.ref(fiber)
+        analyze_all(fiber, fiber.top_degree)
+        del fiber
+        gc.collect()
+        assert ref() is None
+
+    def test_shared_e2_is_unchanged_by_every_run(self):
+        q13 = wall_presentation(1, 3)
+        for asgn in enumerate_assignments(q13):
+            run_case(q13, q13.top_degree, asgn)
+            fresh = build_e2(wall_presentation(1, 3))   # a new fiber builds anew
+            assert build_e2(q13).cells == fresh.cells, asgn.case_id
+
+    def test_cells_are_shared_per_fiber(self):
+        one, other = wall_presentation(1, 3), wall_presentation(1, 3)
+        assert build_e2(one).cells is build_e2(one).cells
+        assert build_e2(one).cells is not build_e2(other).cells
+
+    def test_pages_and_cells_are_frozen(self):
+        page = build_e2(wall_presentation(1, 3))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            page.cells = {}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            page.cells[(0, 0)].boundaries = page.cells[(0, 0)].cycles
+
+
+def differential_value_by_elements(fiber, active, mono):
+    """The Leibniz value through ``Element`` arithmetic, one product per
+    generator: the unshortened path that ``differential_value`` must equal."""
+    total = fiber.zero()
+    for name, tgt in active.items():
+        idx = fiber.gen_index[name]
+        e = mono[idx]
+        if e % 2:
+            lowered = list(mono)
+            lowered[idx] = e - 1
+            total = total + fiber.element([tuple(lowered)]) * tgt.element
+    return total
+
+
+def raw_monomials(fiber, up_to):
+    """Every exponent tuple of degree at most ``up_to``, normal form or not."""
+    ranges = [range(up_to // g.degree + 1) for g in fiber.generators]
+    return [m for m in itertools.product(*ranges) if fiber.mono_degree(m) <= up_to]
+
+
+def assert_differential_values_match(fiber, actives, up_to):
+    monos = raw_monomials(fiber, up_to)
+    for active in actives:
+        for mono in monos:
+            assert differential_value(fiber, active, mono) == \
+                differential_value_by_elements(fiber, active, mono), (
+                    fiber.name, {n: t.render(fiber) for n, t in active.items()}, mono)
+
+
+def every_active_dict(fiber):
+    """The distinct generator-to-target dicts of one page, over all assignments."""
+    found = {}
+    for asgn in enumerate_assignments(fiber):
+        for r in asgn.active_pages():
+            active = asgn.active_at(r)
+            found[tuple(active.items())] = active
+    return list(found.values())
+
+
+class TestDifferentialValueShortcut:
+    """Accumulating normal-form terms equals the ``Element`` products."""
+
+    @pytest.mark.parametrize(
+        "fiber",
+        [wall_presentation(m, n) for m in range(4) for n in range(4)]
+        + [dold_presentation(m, n) for m in range(4) for n in range(4)],
+        ids=lambda fiber: fiber.name)
+    def test_wall_and_dold(self, fiber):
+        # the Wall rule c^(m+1) = c^m * x has a nonzero right-hand side
+        assert_differential_values_match(fiber, every_active_dict(fiber),
+                                         fiber.top_degree + 2)
+
+    @given(monomial_presentations().filter(lambda p: p.top_degree <= 12))
+    @settings(max_examples=60, deadline=None)
+    def test_random_monomial_presentations(self, fiber):
+        assert_differential_values_match(fiber, every_active_dict(fiber),
+                                         fiber.top_degree + 2)
+
+    def test_non_confluent_presentation(self):
+        # the presentation of test_algebra's test_conflicting_rules_reported:
+        # c^2 rewrites to x*c by the first rule and to 0 by the second
+        bad = AlgebraPresentation([("x", 1), ("c", 1)], [((0, 2), [(1, 1)]), ((0, 2), ())])
+        assert bad.check_confluence() is not None
+        # differential_value reads no bidegree, so targets of any degree
+        # exercise more products than the unit alone
+        targets = [TransgressionTarget(2, elem) for q in range(3)
+                   for elem in bad.nonzero_elements(q)]
+        actives = [dict.fromkeys(names, tgt) for tgt in targets
+                   for names in (("x",), ("c",), ("x", "c"))]
+        assert_differential_values_match(bad, actives, 6)
+
+
+def golden_fibers():
+    """Q(m <= 4, n <= 5), Q(1|3|5, 9|15), Dold P(m <= 3, n <= 3), the 81
+    two-generator fibers and S^1..S^8."""
+    return ([wall_presentation(m, n) for m in range(5) for n in range(6)]
+            + [wall_presentation(m, n) for m in (1, 3, 5) for n in (9, 15)]
+            + [dold_presentation(m, n) for m in range(4) for n in range(4)]
+            + list(two_generator_fibers()) + spheres())
+
+
+def verdict_rows(fibers):
+    """One row per assignment, dim_x the top degree: the outcome, reason,
+    detail and E_inf totals up to where they turn constant, or the type and
+    message of the exception ``run_case`` raised."""
+    for fiber in fibers:
+        top = fiber.top_degree
+        for asgn in enumerate_assignments(fiber):
+            try:
+                verdict = run_case(fiber, top, asgn)
+            except Exception as exc:    # a raise is a verdict to pin as well
+                yield (fiber.name, asgn.case_id, type(exc).__name__, str(exc))
+                continue
+            page = verdict.e_infinity
+            totals = None if page is None else [
+                page.total_dimension(j) for j in range(page.stable + top + 1)]
+            yield (fiber.name, asgn.case_id, verdict.outcome, verdict.reason,
+                   verdict.detail, totals)
+
+
+def test_golden_verdict_digest():
+    # Pinned before the E_2 cache, the one-sweep totals and the direct Leibniz
+    # values; a change that moves a verdict on purpose updates the pin and
+    # lists the moved verdicts in CHANGES.md.
+    rows = list(verdict_rows(golden_fibers()))
+    assert len(rows) == 1232
+    digest = hashlib.sha256("\n".join(map(repr, rows)).encode()).hexdigest()[:16]
+    assert digest == "7c7ed75549b7ae43"
