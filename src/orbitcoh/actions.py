@@ -2,10 +2,11 @@
 
 A candidate action is a degree-preserving assignment of images to the ring
 generators.  Candidates are filtered cheapest-first: ring-homomorphism and
-bijectivity constraints, then involutivity, then the fixed-point
-obstruction of Bredon (a middle-degree class ``a`` with ``a * T(a) != 0``
-forces a fixed point, so no *free* involution can induce the action).  The
-filters are generic; ``classify_free_actions`` is the one Wall entry point.
+bijectivity constraints, then involutivity, then Bredon's fixed-point
+obstruction (if the top degree is 2l and T is the identity in degree 2l, a
+class ``a`` of degree l with ``a * T(a) != 0`` forces a fixed point, so no
+*free* involution can induce the action).  ``classify_free_actions`` is the
+one Wall entry point; the filters are generic.
 
 A surviving candidate is only "not eliminated": no implemented obstruction
 kills it.  Realization by an actual free involution is outside the reach of
@@ -141,22 +142,19 @@ def _fixes_degree(pres: AlgebraPresentation, cand: EndoCandidate, q: int) -> boo
                for mono in pres.degree_basis(q))
 
 
-def bredon_obstruction(pres: AlgebraPresentation, cand: EndoCandidate,
-                       l: int) -> ObstructionWitness | None:
-    """Search degree-l classes ``a`` with ``a * T(a) != 0``.
-
-    Applicable only when the algebra vanishes above degree 2l and the
-    candidate is the identity in degree 2l; a witness certifies that the
-    candidate cannot come from a free involution.
-    """
+def bredon_obstruction(pres: AlgebraPresentation,
+                       cand: EndoCandidate) -> ObstructionWitness | None:
+    """Search degree-l classes ``a`` with ``a * T(a) != 0`` under Bredon's
+    hypotheses: the top degree is even, 2l, and T is the identity in degree 2l.
+    A witness certifies that the candidate cannot come from a free involution."""
     top = pres.top_degree
-    if top is None or top > 2 * l:
-        raise ObstructionInapplicable(
-            f"cohomology does not vanish above degree {2 * l}")
-    if not _fixes_degree(pres, cand, 2 * l):
-        raise ObstructionInapplicable(
-            f"candidate is not the identity in degree {2 * l}")
-    for a in pres.nonzero_elements(l):
+    if top is None:
+        raise ObstructionInapplicable("the algebra is not finite-dimensional")
+    if top % 2:
+        raise ObstructionInapplicable(f"top degree {top} is odd")
+    if not _fixes_degree(pres, cand, top):
+        raise ObstructionInapplicable(f"candidate is not the identity in degree {top}")
+    for a in pres.nonzero_elements(top // 2):
         product = a * apply_candidate(pres, cand, a)
         if product:
             return ObstructionWitness(a, product)
@@ -168,7 +166,7 @@ def is_trivial_in_degrees_ge_2(pres: AlgebraPresentation,
     return all(_fixes_degree(pres, cand, q) for q in range(2, pres.top_degree + 1))
 
 
-def _record(pres: AlgebraPresentation, cand: EndoCandidate, l: int) -> CandidateRecord:
+def _record(pres: AlgebraPresentation, cand: EndoCandidate) -> CandidateRecord:
     """Run the filters cheapest-first and record the first that eliminates ``cand``."""
     ok, reason = is_ring_endomorphism(pres, cand)
     if not ok:
@@ -178,7 +176,7 @@ def _record(pres: AlgebraPresentation, cand: EndoCandidate, l: int) -> Candidate
             cand, "eliminated", "involutivity",
             "composed with itself, the map is not the identity", None, None)
     try:
-        witness = bredon_obstruction(pres, cand, l)
+        witness = bredon_obstruction(pres, cand)
     except ObstructionInapplicable as exc:
         reason = f"fixed-point obstruction inapplicable: {exc}"
     else:
@@ -201,6 +199,5 @@ def classify_free_actions(m: int, n: int) -> ActionReport:
     if n % 2 == 0:
         raise ValueError("classification requires odd n")
     pres = wall_presentation(m, n)
-    l = (pres.top_degree + 1) // 2
-    records = tuple(_record(pres, cand, l) for cand in enumerate_candidates(pres))
+    records = tuple(_record(pres, cand) for cand in enumerate_candidates(pres))
     return ActionReport(m, n, pres, records)

@@ -60,8 +60,8 @@ class TransgressionTarget:
     page: int
     element: Element
 
-    def render(self, fiber: AlgebraPresentation) -> str:
-        if self.element == fiber.unit():
+    def render(self) -> str:
+        if self.element == self.element.algebra.unit():
             return f"t^{self.page}"
         body = str(self.element)
         if len(self.element.terms) > 1:
@@ -201,7 +201,7 @@ def enumerate_assignments(fiber: AlgebraPresentation) -> list[DifferentialAssign
     for combo in itertools.product(*pools):
         choices = tuple((g.name, tgt) for g, tgt in zip(fiber.generators, combo))
         label = (wall.case_label(fiber, choices)
-                 or "; ".join(f"d{t.page}({name})={t.render(fiber)}"
+                 or "; ".join(f"d{t.page}({name})={t.render()}"
                               for name, t in choices if t is not None)
                  or "Z")
         assignments.append(DifferentialAssignment(fiber, choices, label))
@@ -310,7 +310,7 @@ def _check_targets_alive(page: Page, active: dict[str, TransgressionTarget]):
                 f"generator {name} no longer represents a class on page {page.r}")
         if not _is_nonzero_class(page, tgt.page, tgt.element.degree, tgt.element):
             raise SpectralModelError(
-                f"declared target {tgt.render(fiber)} for {name} is not a "
+                f"declared target {tgt.render()} for {name} is not a "
                 f"nonzero class on page {page.r}")
 
 
@@ -417,7 +417,9 @@ def run_case(fiber: AlgebraPresentation, dim_x: int,
     """Drive one assignment to its limit page and render a verdict.
 
     A surviving case must satisfy the free-action vanishing bound: the total
-    complex is zero in degrees ``dim_x < j <= dim_x + fiber.top_degree``.
+    complex is zero in every degree above ``dim_x``.  The totals are constant
+    from ``S + top`` on (column S stands for every later column), so degrees
+    ``dim_x + 1 .. max(dim_x + 1, dim_x + top, S + top)`` decide it.
     """
     try:
         for page in pages(fiber, assignment):
@@ -425,14 +427,14 @@ def run_case(fiber: AlgebraPresentation, dim_x: int,
     except LeibnizInconsistency as exc:
         return CaseVerdict(assignment, "eliminated", "leibniz_inconsistent",
                            str(exc), None)
-    totals = page.total_dimensions(dim_x + fiber.top_degree)
-    violations = [j for j in range(max(dim_x + 1, 0), dim_x + fiber.top_degree + 1)
-                  if totals[j] > 0]
+    top = fiber.top_degree
+    last = max(dim_x + 1, dim_x + top, page.stable + top)
+    totals = page.total_dimensions(last)
+    violations = [j for j in range(max(dim_x + 1, 0), last + 1) if totals[j] > 0]
     if not violations:
         return CaseVerdict(assignment, "survives", None, None, page)
-    if len(violations) == fiber.top_degree:
-        detail = (f"nonzero classes in every degree "
-                  f"{dim_x + 1}..{dim_x + fiber.top_degree}")
+    if violations == list(range(dim_x + 1, dim_x + top + 1)):
+        detail = f"nonzero classes in every degree {dim_x + 1}..{dim_x + top}"
     else:
         detail = f"nonzero classes in degrees {violations}"
     return CaseVerdict(assignment, "eliminated", "vanishing_violation", detail, None)

@@ -6,6 +6,7 @@ from orbitcoh import gf2
 from orbitcoh.actions import (
     EndoCandidate,
     ObstructionInapplicable,
+    ObstructionWitness,
     apply_candidate,
     bredon_obstruction,
     classify_free_actions,
@@ -45,6 +46,34 @@ def every_degree_ring_check(pres, cand):
         if gf2.rank(cols) < len(basis):
             return False, f"not bijective in degree {q}"
     return True, None
+
+
+def bredon_at_degree(pres, cand, l):
+    """Reference: the fixed-point obstruction searched in a degree ``l`` chosen
+    by the caller, refused when the algebra does not vanish above 2l or the
+    candidate moves degree 2l."""
+    top = pres.top_degree
+    if top is None or top > 2 * l:
+        raise ObstructionInapplicable(
+            f"cohomology does not vanish above degree {2 * l}")
+    if any(apply_candidate(pres, cand, mono) != pres.element([mono])
+           for mono in pres.degree_basis(2 * l)):
+        raise ObstructionInapplicable(
+            f"candidate is not the identity in degree {2 * l}")
+    for a in pres.nonzero_elements(l):
+        product = a * apply_candidate(pres, cand, a)
+        if product:
+            return ObstructionWitness(a, product)
+    return None
+
+
+def bredon_outcome(search, *args):
+    """The witness as strings, or the refusal message."""
+    try:
+        witness = search(*args)
+    except ObstructionInapplicable as exc:
+        return f"inapplicable: {exc}"
+    return witness and (str(witness.middle_class), str(witness.product))
 
 
 @st.composite
@@ -161,7 +190,7 @@ class TestBredonObstruction:
     def test_witness_for_twisted_d_n5(self):
         q15 = wall_presentation(1, 5)
         cand = candidate(q15, x="x", c="c", d="d + x*c")
-        witness = bredon_obstruction(q15, cand, 6)
+        witness = bredon_obstruction(q15, cand)
         assert witness is not None
         assert str(witness.middle_class) == "d^3"
         assert str(witness.product) == "x*c*d^5"
@@ -170,7 +199,7 @@ class TestBredonObstruction:
         # binomial parity: (xc + d)^2 = d^2 when n = 3, so every product dies
         q13 = wall_presentation(1, 3)
         cand = candidate(q13, x="x", c="c", d="d + x*c")
-        assert bredon_obstruction(q13, cand, 4) is None
+        assert bredon_obstruction(q13, cand) is None
 
     def test_identity_action_x_class_gives_zero_product(self):
         q13 = wall_presentation(1, 3)
@@ -178,18 +207,46 @@ class TestBredonObstruction:
         a = q13.parse_element("x*d")
         assert not (a * apply_candidate(q13, ident, a))
 
-    def test_rejects_when_vanishing_fails(self):
-        q13 = wall_presentation(1, 3)
-        ident = candidate(q13, x="x", c="c", d="d")
-        with pytest.raises(ObstructionInapplicable):
-            bredon_obstruction(q13, ident, 3)
+    def test_rejects_odd_top_degree(self):
+        q23 = wall_presentation(2, 3)
+        ident = candidate(q23, x="x", c="c", d="d")
+        with pytest.raises(ObstructionInapplicable, match="^top degree 9 is odd$"):
+            bredon_obstruction(q23, ident)
+
+    def test_rejects_infinite_algebra(self):
+        poly = AlgebraPresentation([("x", 1)], [])
+        with pytest.raises(ObstructionInapplicable, match="not finite-dimensional"):
+            bredon_obstruction(poly, candidate(poly, x="x"))
 
     def test_rejects_when_not_identity_in_degree_2l(self):
         q13 = wall_presentation(1, 3)
         cand = candidate(q13, x="x", c="x", d="d")
         with pytest.raises(ObstructionInapplicable,
                            match="candidate is not the identity in degree 8"):
-            bredon_obstruction(q13, cand, 4)
+            bredon_obstruction(q13, cand)
+
+    @pytest.mark.parametrize(
+        "pres",
+        [wall_presentation(m, n) for m in range(5) for n in range(6)]
+        + [dold_presentation(m, n) for m in range(5) for n in range(5)],
+        ids=lambda pres: pres.name)
+    def test_matches_caller_chosen_degree(self, pres):
+        # the top degree decides l: on even top, the reference at l = top/2
+        # gives the same answer; on odd top, no degree the reference accepts
+        # yields a witness
+        top = pres.top_degree
+        for cand in enumerate_candidates(pres):
+            if not (is_ring_endomorphism(pres, cand)[0] and is_involutive(pres, cand)):
+                continue
+            if top % 2 == 0:
+                assert (bredon_outcome(bredon_obstruction, pres, cand)
+                        == bredon_outcome(bredon_at_degree, pres, cand, top // 2))
+                continue
+            with pytest.raises(ObstructionInapplicable, match=f"^top degree {top} is odd$"):
+                bredon_obstruction(pres, cand)
+            for l in range(top + 2):
+                outcome = bredon_outcome(bredon_at_degree, pres, cand, l)
+                assert outcome is None or outcome.startswith("inapplicable"), (l, outcome)
 
 
 class TestTrivialAboveDegreeOne:
@@ -250,6 +307,17 @@ class TestClassification:
         for r in report.survivors():
             assert str(r.candidate.image("c")) == "c"
             assert str(r.candidate.image("x")) == "x"
+
+    @pytest.mark.parametrize("m, n, reason", [
+        (1, 3, "no obstruction found (not eliminated)"),
+        (2, 3, "fixed-point obstruction inapplicable: top degree 9 is odd"),
+    ])
+    def test_identity_reason(self, m, n, reason):
+        report = classify_free_actions(m, n)
+        [ident] = [r for r in report.records
+                   if all(str(r.candidate.image(g.name)) == g.name
+                          for g in report.presentation.generators)]
+        assert (ident.status, ident.reason) == ("survives", reason)
 
     def test_identity_never_eliminated(self):
         for m, n in [(1, 3), (1, 5), (2, 3), (3, 1)]:
