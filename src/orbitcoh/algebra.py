@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from operator import mul
 
 Mono = tuple[int, ...]
 
@@ -93,7 +94,7 @@ class AlgebraPresentation:
     # -- monomial helpers -------------------------------------------------
 
     def mono_degree(self, mono: Mono) -> int:
-        return sum(e * d for e, d in zip(mono, self._degrees))
+        return sum(map(mul, mono, self._degrees))
 
     def order_key(self, mono: Mono):
         """Deglex key: degree, then exponents read most-significant first."""
@@ -157,7 +158,7 @@ class AlgebraPresentation:
         if None in self._caps:
             return None
         ceiling = sum(b * d for b, d in zip(self._caps, self._degrees))
-        for q in range(ceiling, -1, -1):
+        for q in range(ceiling, -1, -1):    # the first miss fills every row
             if self.degree_basis(q):
                 return q
         return 0
@@ -214,34 +215,30 @@ class AlgebraPresentation:
     # -- bases and series ----------------------------------------------------
 
     def degree_basis(self, q: int) -> tuple[Mono, ...]:
-        """All normal-form monomials of degree ``q`` in ascending order."""
+        """All normal-form monomials of degree ``q`` in ascending order.
+
+        A cache miss fills every row up to ``q`` that the exponent vectors
+        with ``e_i <= min(cap_i, q // deg_i)`` reach, in one sweep over the
+        reversed vectors in lexicographic order: ascending within each
+        degree.  The caps rule out every pure-power left-hand side, so only
+        the others are tried."""
         if q < 0:
             return ()
         cached = self._basis_cache.get(q)
         if cached is not None:
             return cached
-        found: list[Mono] = []
-        ngen = len(self.generators)
-
-        def walk(i: int, remaining: int, exps: list[int]):
-            if i == ngen:
-                if remaining == 0:
-                    mono = tuple(exps)
-                    if self._find_rule(mono) is None:
-                        found.append(mono)
-                return
-            d, cap = self._degrees[i], self._caps[i]
-            top = remaining // d if cap is None else min(remaining // d, cap)
-            for e in range(top + 1):
-                exps.append(e)
-                walk(i + 1, remaining - e * d, exps)
-                exps.pop()
-
-        walk(0, q, [])
-        found.sort(key=self.order_key)
-        result = tuple(found)
-        self._basis_cache[q] = result
-        return result
+        bounds = [q // d if cap is None else min(q // d, cap)
+                  for d, cap in zip(self._degrees, self._caps)]
+        rows: list[list[Mono]] = [[] for _ in range(min(q, self.mono_degree(bounds)) + 1)]
+        mixed = [r.lhs for r in self.rules if sum(map(bool, r.lhs)) > 1]
+        for rev in itertools.product(*(range(b + 1) for b in reversed(bounds))):
+            mono = rev[::-1]
+            deg = self.mono_degree(mono)
+            if deg <= q and not any(_mono_divides(lhs, mono) for lhs in mixed):
+                rows[deg].append(mono)
+        for deg, row in enumerate(rows):
+            self._basis_cache.setdefault(deg, tuple(row))
+        return self._basis_cache.setdefault(q, ())    # above every reachable degree
 
     def basis_index(self, q: int) -> dict[Mono, int]:
         cached = self._basis_index_cache.get(q)

@@ -64,11 +64,15 @@ def rank(vectors) -> int:
 
 
 def combine(coeffs: int, vectors) -> int:
-    """XOR of the vectors that the bits of ``coeffs`` select (bit i picks ``vectors[i]``)."""
+    """XOR of the vectors that the set bits of ``coeffs`` select, bit i picking
+    ``vectors[i]``; a bit beyond the list raises ``ValueError``."""
+    if coeffs >> len(vectors):
+        raise ValueError("coefficients select a vector beyond the list")
     out = 0
-    for i, v in enumerate(vectors):
-        if coeffs >> i & 1:
-            out ^= v
+    while coeffs:
+        low = coeffs & -coeffs
+        out ^= vectors[low.bit_length() - 1]
+        coeffs ^= low
     return out
 
 

@@ -18,6 +18,11 @@ reduces to zero modulo the target's boundaries.  Three guards are
 *checked*, never assumed: compatibility of the derivation with every fiber
 relation, square zero, and representative independence.
 
+Only what d_r moves is recomputed, since E_{r+1} equals E_r where d_r is
+zero: after a page on which no generator transgresses, the next page shares
+its cells, and on an active page a cell that keeps its cycles and receives
+no image is carried over as the same ``Cell``.
+
 Stable columns: every differential is linear over ``F2[t]``, and
 multiplication by ``t`` maps each column of E_2 isomorphically onto the
 next, so on every page the columns far enough to the right all agree.  A
@@ -25,8 +30,8 @@ page stores columns ``0..S`` and column ``S`` stands for every later column.
 E_2 is the same in every column, so S = 0 there.  An active d_r joins
 column p to column p + r, so column p' of the next page is fixed by columns
 p' and p' - r of this one; both are column S once p' >= S + r, so S grows
-by r on each active page and stays put on the others.  Every cell and every
-total degree is therefore exact.
+by r on each page where d_r moves something and stays put on the others.
+Every cell and every total degree is therefore exact.
 """
 
 from __future__ import annotations
@@ -227,6 +232,11 @@ def differential_value(fiber: AlgebraPresentation,
     Terms are XORed into one set by the same ``reduce_mono`` calls that
     ``fiber.element([lowered]) * tgt.element`` makes, on any presentation.
     """
+    return Element(fiber, frozenset(_leibniz_terms(fiber, active, mono)))
+
+
+def _leibniz_terms(fiber, active, mono: Mono) -> set[Mono]:
+    """The normal-form monomials of ``differential_value``, as a set."""
     terms: set[Mono] = set()
     for name, tgt in active.items():
         idx = fiber.gen_index[name]
@@ -237,7 +247,7 @@ def differential_value(fiber: AlgebraPresentation,
             for a in fiber.reduce_mono(tuple(lowered)):
                 for b in tgt.element.terms:
                     terms ^= fiber.reduce_mono(tuple(map(add, a, b)))
-    return Element(fiber, frozenset(terms))
+    return terms
 
 
 def _derivation_matrix(fiber, active, q: int) -> list[int]:
@@ -245,9 +255,12 @@ def _derivation_matrix(fiber, active, q: int) -> list[int]:
     images of the basis of row q.
 
     ``active`` is nonempty: it holds the generators transgressing on page r.
+    Each image is the bit mask of its Leibniz terms; the terms are distinct,
+    so their bits add up without carries.  A term of any other degree than
+    ``q + 1 - r`` is not in the index and raises ``KeyError``.
     """
-    tgt_q = q + 1 - next(iter(active.values())).page
-    return [fiber.to_vector(differential_value(fiber, active, mono), tgt_q)
+    index = fiber.basis_index(q + 1 - next(iter(active.values())).page)
+    return [sum(1 << index[m] for m in _leibniz_terms(fiber, active, mono))
             for mono in fiber.degree_basis(q)]
 
 
@@ -261,7 +274,8 @@ class PageDifferential:
     row_matrices: dict[int, list[int]]     # q -> images of the basis of row q
 
     def apply(self, q: int, vec: int) -> int:
-        return gf2.combine(vec, self.row_matrices.get(q, ()))   # no row q: vec is 0
+        matrix = self.row_matrices.get(q)
+        return 0 if matrix is None else gf2.combine(vec, matrix)
 
 
 def extend_by_leibniz(page: Page, assignment: DifferentialAssignment) -> PageDifferential:
@@ -282,7 +296,7 @@ def extend_by_leibniz(page: Page, assignment: DifferentialAssignment) -> PageDif
     r = page.r
     active = assignment.active_at(r)
     if not active:
-        return PageDifferential(r, active, {})   # turn_page keeps the page as it is
+        return PageDifferential(r, active, {})   # no row moves: turn_page keeps every cell
     for rule in fiber.rules:
         lhs_val = differential_value(fiber, active, rule.lhs)
         rhs_val = fiber.zero()
@@ -328,23 +342,28 @@ def turn_page(page: Page, diff: PageDifferential) -> Page:
     ``0..S + r``: column p' takes its cycles from stored column
     ``min(p', S)`` and its incoming images from column ``p' - r <= S``.
 
-    Checks, in order: images of cycles are cycles, images of boundaries are
-    boundaries (representative independence), the square of the
-    differential vanishes, and finally image-inside-kernel for every cell.
+    A row with no target cell, or on which d_r is zero, keeps its cycles:
+    every image vanishes, so no check can fail there.  A new cell that
+    receives no image and keeps its cycles is the previous page's ``Cell``,
+    whose boundaries passed the kernel check when it was built.  If d_r
+    moves nothing at all, the page is E_r again and S stays put.
+
+    Checks, in order, wherever d_r moves something: images of cycles are
+    cycles, images of boundaries are boundaries (representative
+    independence), the square of the differential vanishes, and finally
+    image-inside-kernel for every changed cell.
     """
     if diff.r != page.r:
         raise ValueError("differential was computed for a different page")
-    if not diff.active:
-        return Page(page.fiber, page.r + 1, page.stable, page.cells)
     r, stable = page.r, page.stable
+    moving = {q for q, matrix in diff.row_matrices.items() if any(matrix)}
     images: dict[tuple[int, int], list[int]] = {}   # by source cell
     cycles: dict[tuple[int, int], gf2.Subspace] = {}
     for pos in sorted(page.cells):
         p, q = pos
         cell = page.cells[pos]
         tgt_cell = page.cell(p + r, q + 1 - r)
-        if tgt_cell is None:
-            # no target row: every image vanishes
+        if tgt_cell is None or q not in moving:
             cycles[pos] = cell.cycles
             continue
         raws = []
@@ -366,19 +385,24 @@ def turn_page(page: Page, diff: PageDifferential) -> Page:
             (gf2.combine(lam, cell.cycles.basis) for lam in kernel.basis),
             cell.cycles.ambient_dim)
         images[pos] = [v for v in raws if v]
+    new_stable = stable + r if any(images.values()) else stable
     new_cells = {}
-    for p in range(stable + r + 1):
+    for p in range(new_stable + 1):
         for q in range(page.fiber.top_degree + 1):
             cell = page.cell(p, q)
             if cell is None:
                 continue
-            boundaries = cell.boundaries.add(images.get((p - r, q + r - 1), []))
+            incoming = images.get((p - r, q + r - 1), [])
             kept = cycles[(min(p, stable), q)]
+            if not incoming and kept is cell.cycles:
+                new_cells[(p, q)] = cell
+                continue
+            boundaries = cell.boundaries.add(incoming)
             if not kept.contains_subspace(boundaries):
                 raise SpectralModelError(
                     f"image is not contained in the kernel at {(p, q)} on page {r}")
             new_cells[(p, q)] = Cell(kept, boundaries)
-    return Page(page.fiber, r + 1, stable + r, new_cells)
+    return Page(page.fiber, r + 1, new_stable, new_cells)
 
 
 def _check_square_zero(page: Page, diff: PageDifferential, p: int, q: int,
@@ -403,12 +427,19 @@ def pages(fiber: AlgebraPresentation, assignment: DifferentialAssignment):
     """Yield E_2, E_3, ..., E_{top + 2} for one assignment, top the fiber's top degree.
 
     Beyond the last page every differential leaves the first quadrant.
-    Raises ``LeibnizInconsistency`` on the page where the case dies.
+    Raises ``LeibnizInconsistency`` on the page where the case dies.  Where
+    no generator transgresses, d_r = 0 and E_{r+1} shares E_r's cells.
     """
+    if assignment.fiber is not fiber:
+        raise ValueError("assignment belongs to a different fiber")
+    active_pages = assignment.active_pages()
     page = build_e2(fiber)
     yield page
     while page.r < fiber.top_degree + 2:
-        page = turn_page(page, extend_by_leibniz(page, assignment))
+        if page.r in active_pages:
+            page = turn_page(page, extend_by_leibniz(page, assignment))
+        else:
+            page = Page(fiber, page.r + 1, page.stable, page.cells)
         yield page
 
 

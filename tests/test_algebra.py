@@ -16,6 +16,8 @@ from orbitcoh.algebra import (
     wall_presentation,
 )
 from orbitcoh.algebra import _mono_div, _mono_divides, _mono_mul
+from test_actions import monomial_presentations
+from test_spectral import spheres, two_generator_fibers
 
 
 def exhaustive_reduction_oracle(pres, mono):
@@ -201,6 +203,102 @@ class TestDegreeBasis:
             brute = [mono for mono in itertools.product(range(q + 1), repeat=4)
                      if pres.mono_degree(mono) == q and pres._find_rule(mono) is None]
             assert pres.degree_basis(q) == tuple(sorted(brute, key=pres.order_key)), q
+
+
+def degree_basis_by_walk(pres, q):
+    """The recursive walk that ``degree_basis`` ran before its one-sweep
+    fill: one row per call, exponents chosen generator by generator, each
+    bounded by its cap and by the degree left."""
+    if q < 0:
+        return ()
+    found = []
+    ngen = len(pres.generators)
+
+    def walk(i, remaining, exps):
+        if i == ngen:
+            if remaining == 0:
+                mono = tuple(exps)
+                if pres._find_rule(mono) is None:
+                    found.append(mono)
+            return
+        d, cap = pres._degrees[i], pres._caps[i]
+        top = remaining // d if cap is None else min(remaining // d, cap)
+        for e in range(top + 1):
+            exps.append(e)
+            walk(i + 1, remaining - e * d, exps)
+            exps.pop()
+
+    walk(0, q, [])
+    found.sort(key=pres.order_key)
+    return tuple(found)
+
+
+def assert_sweep_matches_walk(pres, queries):
+    """Ask ``degree_basis`` with an empty cache, in the given order: a miss
+    fills every lower row, which later queries then read from the cache."""
+    pres._basis_cache.clear()
+    pres._basis_index_cache.clear()
+    for q in queries:
+        assert pres.degree_basis(q) == degree_basis_by_walk(pres, q), (pres.name, q)
+
+
+def ceiling(pres):
+    """Highest degree a capped exponent vector can reach."""
+    return sum(cap * d for cap, d in zip(pres._caps, pres._degrees))
+
+
+class TestDegreeBasisSweep:
+    """One sweep per cache miss equals the per-row recursive walk."""
+
+    @staticmethod
+    def fibers():
+        return ([wall_presentation(m, n) for m in range(5) for n in range(6)]
+                + [wall_presentation(m, n) for m in (1, 3, 5) for n in (9, 15)]
+                + [dold_presentation(m, n) for m in range(4) for n in range(4)]
+                + list(two_generator_fibers()) + spheres())
+
+    def test_finite_fibers_in_both_orders(self):
+        for pres in self.fibers():
+            queries = list(range(pres.top_degree + 3))
+            assert_sweep_matches_walk(pres, queries)
+            assert_sweep_matches_walk(pres, queries[::-1])
+
+    def test_construction_fills_every_row_up_to_the_ceiling(self):
+        for pres in self.fibers():
+            assert set(pres._basis_cache) == set(range(ceiling(pres) + 1)), pres.name
+            for q in range(ceiling(pres) + 1):
+                assert pres._basis_cache[q] == degree_basis_by_walk(pres, q)
+
+    def test_queries_above_the_ceiling(self):
+        for pres in self.fibers():
+            top = ceiling(pres)
+            assert_sweep_matches_walk(pres, [top + 3, top + 1, top + 2, -1])
+            assert pres.degree_basis(top + 3) == ()
+            # rows above every reachable degree are not filled one by one
+            assert pres.degree_basis(10 ** 5) == ()
+            assert len(pres._basis_cache) <= top + 5, pres.name
+
+    @given(monomial_presentations(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_random_monomial_presentations(self, pres, descending):
+        queries = list(range(pres.top_degree + 3))
+        assert_sweep_matches_walk(pres, queries[::-1] if descending else queries)
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_polynomial_ring(self, order):
+        queries = list(range(13))
+        if order == "descending":
+            queries.reverse()
+        elif order == "shuffled":
+            random.Random(4).shuffle(queries)
+        base = base_presentation()
+        assert base.top_degree is None
+        assert_sweep_matches_walk(base, queries)
+        # an uncapped generator beside capped ones
+        mixed = AlgebraPresentation([("x", 1), ("u", 2), ("y", 3)],
+                                    [((2, 0, 0), ()), ((0, 0, 2), ()), ((1, 0, 1), ())])
+        assert mixed.top_degree is None
+        assert_sweep_matches_walk(mixed, queries)
 
 
 class TestBuilders:

@@ -210,6 +210,36 @@ class TestSolve:
         assert combine(x, vectors) == target
 
 
+def combine_by_enumeration(coeffs, vectors):
+    """``combine`` as it was before it walked only the set bits: a loop over
+    every vector, which silently drops coefficient bits beyond the list."""
+    out = 0
+    for i, v in enumerate(vectors):
+        if coeffs >> i & 1:
+            out ^= v
+    return out
+
+
+class TestCombine:
+    @given(small_matrices, st.data())
+    def test_set_bits_match_the_full_loop(self, m, data):
+        _, vectors = m
+        coeffs = data.draw(st.integers(0, 2 ** len(vectors) - 1))
+        assert combine(coeffs, vectors) == combine_by_enumeration(coeffs, vectors)
+
+    @given(small_matrices, st.integers(0, 6))
+    def test_rejects_bits_beyond_the_vector_list(self, m, extra):
+        _, vectors = m
+        coeffs = 1 << (len(vectors) + extra)
+        assert combine_by_enumeration(coeffs, vectors) == 0
+        with pytest.raises(ValueError):
+            combine(coeffs, vectors)
+
+    def test_zero_coefficients_select_nothing(self):
+        assert combine(0, []) == 0
+        assert combine(0, [vec([1, 1])]) == 0
+
+
 def test_rref_idempotent_example():
     m = [vec([1, 1, 0]), vec([1, 0, 1]), vec([0, 1, 1])]
     r1, piv1 = rref(m)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from test_actions import monomial_presentations
 
-from orbitcoh import gf2
+from orbitcoh import gf2, spectral
 from orbitcoh.algebra import (
     AlgebraPresentation,
     dold_presentation,
@@ -19,6 +19,7 @@ from orbitcoh.spectral import (
     Cell,
     LeibnizInconsistency,
     Page,
+    PageDifferential,
     SpectralModelError,
     TransgressionTarget,
     analyze_all,
@@ -31,6 +32,7 @@ from orbitcoh.spectral import (
     run_case,
     turn_page,
 )
+from orbitcoh.spectral import _check_square_zero, _derivation_matrix
 
 # Q(1, 3) has top degree 8; with dim_x = 8 the former fixed window of
 # dim_x + top + 3 columns was 19, and the ported checks cover at least it.
@@ -597,6 +599,17 @@ def assert_differential_values_match(fiber, actives, up_to):
                     fiber.name, {n: t.render() for n, t in active.items()}, mono)
 
 
+def assert_derivation_matrices_match(fiber, actives):
+    """Row by row, the bit masks equal ``to_vector`` of each basis
+    monomial's ``differential_value``: the path they replaced."""
+    for active in actives:
+        r = next(iter(active.values())).page
+        for q in range(fiber.top_degree + 1):
+            expected = [fiber.to_vector(differential_value(fiber, active, mono), q + 1 - r)
+                        for mono in fiber.degree_basis(q)]
+            assert _derivation_matrix(fiber, active, q) == expected, (fiber.name, q)
+
+
 def every_active_dict(fiber):
     """The distinct generator-to-target dicts of one page, over all assignments."""
     found = {}
@@ -625,6 +638,27 @@ class TestDifferentialValueShortcut:
     def test_random_monomial_presentations(self, fiber):
         assert_differential_values_match(fiber, every_active_dict(fiber),
                                          fiber.top_degree + 2)
+
+    @pytest.mark.parametrize(
+        "fiber",
+        [wall_presentation(m, n) for m in range(4) for n in range(4)]
+        + [dold_presentation(m, n) for m in range(4) for n in range(4)],
+        ids=lambda fiber: fiber.name)
+    def test_derivation_matrices_match_element_vectors(self, fiber):
+        assert_derivation_matrices_match(fiber, every_active_dict(fiber))
+
+    @given(monomial_presentations().filter(lambda p: p.top_degree <= 12))
+    @settings(max_examples=60, deadline=None)
+    def test_random_derivation_matrices(self, fiber):
+        assert_derivation_matrices_match(fiber, every_active_dict(fiber))
+
+    def test_derivation_term_of_the_wrong_degree_fails(self):
+        # d_2 of a degree-1 generator lands in degree 0, so a degree-1 target
+        # gives terms that degree_basis(0) does not index
+        q13 = wall_presentation(1, 3)
+        active = {"x": TransgressionTarget(2, q13.gen("c"))}
+        with pytest.raises(KeyError):
+            _derivation_matrix(q13, active, 1)
 
     def test_non_confluent_presentation(self):
         # the presentation of test_algebra's test_conflicting_rules_reported:
@@ -677,3 +711,172 @@ def test_golden_verdict_digest():
     assert len(rows) == 1232
     digest = hashlib.sha256("\n".join(map(repr, rows)).encode()).hexdigest()[:16]
     assert digest == "d85b2cf0800516e5"
+
+
+def turn_page_by_every_cell(page, diff):
+    """``turn_page`` before it turned only what d_r moves: every stored cell
+    is turned and every new cell rebuilt and checked, and S grows by r on
+    every page where a generator transgresses."""
+    if diff.r != page.r:
+        raise ValueError("differential was computed for a different page")
+    if not diff.active:
+        return Page(page.fiber, page.r + 1, page.stable, page.cells)
+    r, stable = page.r, page.stable
+    images = {}
+    cycles = {}
+    for pos in sorted(page.cells):
+        p, q = pos
+        cell = page.cells[pos]
+        tgt_cell = page.cell(p + r, q + 1 - r)
+        if tgt_cell is None:
+            cycles[pos] = cell.cycles
+            continue
+        raws = []
+        for vec in cell.cycles.basis:
+            raw = diff.apply(q, vec)
+            if raw and not tgt_cell.cycles.contains(raw):
+                raise SpectralModelError(
+                    f"differential image at ({p},{q}) is not a cycle on page {r}")
+            _check_square_zero(page, diff, p, q, raw)
+            raws.append(raw)
+        for bnd in cell.boundaries.basis:
+            image = diff.apply(q, bnd)
+            if image and not tgt_cell.boundaries.contains(image):
+                raise SpectralModelError(
+                    f"differential at ({p},{q}) is not well defined on cosets")
+        kernel = gf2.kernel_basis([tgt_cell.boundaries.reduce(v) for v in raws])
+        cycles[pos] = gf2.Subspace.from_vectors(
+            (gf2.combine(lam, cell.cycles.basis) for lam in kernel.basis),
+            cell.cycles.ambient_dim)
+        images[pos] = [v for v in raws if v]
+    new_cells = {}
+    for p in range(stable + r + 1):
+        for q in range(page.fiber.top_degree + 1):
+            cell = page.cell(p, q)
+            if cell is None:
+                continue
+            boundaries = cell.boundaries.add(images.get((p - r, q + r - 1), []))
+            kept = cycles[(min(p, stable), q)]
+            if not kept.contains_subspace(boundaries):
+                raise SpectralModelError(
+                    f"image is not contained in the kernel at {(p, q)} on page {r}")
+            new_cells[(p, q)] = Cell(kept, boundaries)
+    return Page(page.fiber, r + 1, stable + r, new_cells)
+
+
+def turn_or_error(turn, page, diff):
+    try:
+        nxt = turn(page, diff)
+    except (LeibnizInconsistency, SpectralModelError) as exc:
+        return None, (type(exc), str(exc))
+    return nxt, (nxt.r, nxt.stable, nxt.cells)
+
+
+class TestTurnPageShortcut:
+    """Turning only what d_r moves gives the cells of turning every cell."""
+
+    @staticmethod
+    def assert_turns_match(fibers):
+        """Along the reference's own pages, every page of every case (idle
+        ones too) turns to the same page or raises the same error."""
+        cases = raised = 0
+        for fiber in fibers:
+            for asgn in enumerate_assignments(fiber):
+                cases += 1
+                page = build_e2(fiber)
+                while page is not None and page.r < fiber.top_degree + 2:
+                    try:
+                        diff = extend_by_leibniz(page, asgn)
+                    except (LeibnizInconsistency, SpectralModelError):
+                        break
+                    _, engine = turn_or_error(turn_page, page, diff)
+                    page, reference = turn_or_error(turn_page_by_every_cell, page, diff)
+                    assert engine == reference, (fiber.name, asgn.case_id, diff.r)
+                    raised += page is None
+        return cases, raised
+
+    def test_stable_column_cases(self):
+        cases, raised = self.assert_turns_match(TestStableColumns.fibers())
+        assert cases == 552
+        assert raised > 0
+
+    def test_golden_fibers(self):
+        cases, raised = self.assert_turns_match(golden_fibers())
+        assert cases == 1232
+        assert raised > 0
+
+    def test_untouched_cells_are_the_previous_cells(self):
+        # case A of Q(1, 3) is d_3(d) = t^3: rows 0 and 1 have no target row,
+        # and columns 0..2 receive no image, so those cells stay as they are
+        q13 = wall_presentation(1, 3)
+        asgn = assignments_by_id(q13)["A"]
+        e3 = page_r(q13, asgn, 3)
+        diff = extend_by_leibniz(e3, asgn)
+        e4 = turn_page(e3, diff)
+        kept = {pos for pos, cell in e4.cells.items() if cell is e3.cell(*pos)}
+        assert {(p, q) for p, q in e4.cells if p < 3 and q < 2} <= kept
+        assert kept != set(e4.cells)
+        assert e4.cells == turn_page_by_every_cell(e3, diff).cells
+
+
+class TestPagesLoop:
+    """``pages()`` yields every page once and skips the work of idle ones."""
+
+    def test_yields_one_page_at_a_time(self):
+        # Q(1, 4) case A dies on E_3, after E_2 and E_3 have been yielded
+        q14 = wall_presentation(1, 4)
+        it = pages(q14, assignments_by_id(q14)["A"])
+        assert next(it).r == 2
+        assert next(it).r == 3
+        with pytest.raises(LeibnizInconsistency):
+            next(it)
+
+    def test_idle_pages_share_cells_and_run_no_turn(self, monkeypatch):
+        calls = {"extend_by_leibniz": 0, "turn_page": 0}
+
+        def counted(name):
+            inner = getattr(spectral, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(spectral, name, counted(name))
+        fiber = wall_presentation(1, 3)
+        for asgn in enumerate_assignments(fiber):
+            if asgn.case_id not in ("Z", "A", "B1", "B2", "B3"):
+                continue    # the others die on a page and yield no E_inf
+            calls.update(extend_by_leibniz=0, turn_page=0)
+            seq = list(pages(fiber, asgn))
+            assert [page.r for page in seq] == list(range(2, fiber.top_degree + 3))
+            active = asgn.active_pages()
+            assert calls == {"extend_by_leibniz": len(active), "turn_page": len(active)}
+            for before, after in zip(seq, seq[1:]):
+                if before.r not in active:
+                    assert after.cells is before.cells
+                    assert after.stable == before.stable
+                else:
+                    assert after.cells is not before.cells
+
+    def test_rejects_an_assignment_of_another_fiber(self):
+        q13 = wall_presentation(1, 3)
+        other = enumerate_assignments(wall_presentation(1, 3))[0]
+        assert other.case_id == "Z"
+        with pytest.raises(ValueError):
+            next(pages(q13, other))
+
+
+class TestPageDifferentialApply:
+    def test_missing_row_maps_to_zero(self):
+        # an idle page has no rows at all, and d_r is zero on every vector
+        diff = PageDifferential(3, {}, {0: [0b1]})
+        assert diff.apply(5, 0b101) == 0
+        assert diff.apply(5, 0) == 0
+        assert diff.apply(-2, 0) == 0
+        assert diff.apply(0, 0b1) == 0b1
+
+    def test_coefficient_beyond_the_row_raises(self):
+        with pytest.raises(ValueError):
+            PageDifferential(3, {}, {0: [0b1]}).apply(0, 0b10)
