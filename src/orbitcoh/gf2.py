@@ -4,11 +4,13 @@ A vector is a Python ``int`` with bit j as coordinate j, so a vector of
 GF(2)^n is an int below ``2**n`` and addition is XOR.  A linear map is the
 list of the images of its basis vectors: its columns, as ints.
 
-Every function runs through one elimination, ``_eliminate``, to reduced row
-echelon form (RREF) with the pivot of each row at its lowest set bit.  RREF
-is unique per subspace, so every derived basis (kernels, images, coset
-representatives) is reproducible between runs.  All dimensions here are a
-few dozen at most, so plain elimination on word-packed vectors suffices.
+Every function but ``kernel_vectors`` runs through one elimination,
+``_eliminate``, to reduced row echelon form (RREF) with the pivot of each
+row at its lowest set bit.  RREF is unique per subspace, so every derived
+basis (kernels, images, coset representatives) is reproducible between
+runs; ``kernel_vectors`` only spans a kernel, and its caller takes the
+RREF of the span.  All dimensions here are a few dozen at most, so plain
+elimination on word-packed vectors suffices.
 """
 
 from __future__ import annotations
@@ -138,6 +140,31 @@ def kernel_basis(columns) -> Subspace:
     """Kernel of the map with the given columns; dim = len(columns) - rank."""
     _, relations = _eliminate(columns)
     return Subspace.from_vectors(relations, len(columns))
+
+
+def kernel_vectors(images, sources) -> list[int]:
+    """The vectors of ``span(sources)`` that a linear map sends to zero, given
+    ``images[i]``, the image of ``sources[i]``.
+
+    One forward elimination on the pairs ``(image, source)``: each row keeps
+    the source combination whose image it is, so an image that reduces to
+    zero leaves a kernel vector in the sources' coordinates, with no basis
+    of relations in between.  The result spans the kernel, one vector for
+    each image that depends on the earlier ones; it is a basis when the
+    sources are independent.
+    """
+    echelon: list[tuple[int, int, int]] = []
+    kernel = []
+    for image, source in zip(images, sources, strict=True):
+        for pivot, row, row_source in echelon:
+            if image & pivot:
+                image ^= row
+                source ^= row_source
+        if image:
+            echelon.append((image & -image, image, source))
+        else:
+            kernel.append(source)
+    return kernel
 
 
 def image_basis(columns) -> Subspace:

@@ -14,14 +14,17 @@ vector in row q is a bit mask over ``degree_basis(q)``, bit i for basis
 monomial i (see ``gf2``); the ``t^p`` factor is implicit.  A class is
 named by its canonical representative ``boundaries.reduce(v)``, so turning
 a page needs no coset basis: the new cycles are the cycles whose image
-reduces to zero modulo the target's boundaries.  Three guards are
+reduces to zero modulo the target's boundaries.  They cost one elimination
+per moving cell, of the pairs (reduced image, cycle) together, which reads
+the kernel directly in E_2 coordinates.  Three guards are
 *checked*, never assumed: compatibility of the derivation with every fiber
 relation, square zero, and representative independence.
 
 Only what d_r moves is recomputed, since E_{r+1} equals E_r where d_r is
 zero: after a page on which no generator transgresses, the next page shares
-its cells, and on an active page a cell that keeps its cycles and receives
-no image is carried over as the same ``Cell``.
+its cells.  On an active page a cell that receives no image is built and
+checked once and shared by every column that reads it, and one that also
+keeps its cycles is carried over as the same ``Cell``.
 
 Stable columns: every differential is linear over ``F2[t]``, and
 multiplication by ``t`` maps each column of E_2 isomorphically onto the
@@ -140,9 +143,10 @@ class Page:
         steps = [0] * (up_to + 2)   # steps[j]: change of the total at degree j
         for (p, q), cell in self.cells.items():
             if p + q <= up_to:
-                steps[p + q] += cell.dim
+                dim = len(cell.cycles.basis) - len(cell.boundaries.basis)
+                steps[p + q] += dim
                 if p < self.stable:
-                    steps[p + q + 1] -= cell.dim
+                    steps[p + q + 1] -= dim
         return list(itertools.accumulate(steps[:-1]))
 
 
@@ -231,6 +235,8 @@ def differential_value(fiber: AlgebraPresentation,
 
     Terms are XORed into one set by the same ``reduce_mono`` calls that
     ``fiber.element([lowered]) * tgt.element`` makes, on any presentation.
+    The derivation matrices (``_derivation_matrix``) skip the first of
+    them: they lower only basis monomials, which are in normal form.
     """
     return Element(fiber, frozenset(_leibniz_terms(fiber, active, mono)))
 
@@ -255,13 +261,28 @@ def _derivation_matrix(fiber, active, q: int) -> list[int]:
     images of the basis of row q.
 
     ``active`` is nonempty: it holds the generators transgressing on page r.
-    Each image is the bit mask of its Leibniz terms; the terms are distinct,
-    so their bits add up without carries.  A term of any other degree than
-    ``q + 1 - r`` is not in the index and raises ``KeyError``.
+    Each image is the bit mask of the terms of ``_leibniz_terms``; the terms
+    are distinct, so their bits add up without carries.  A basis monomial
+    is in normal form and so is each of its divisors, so the lowered
+    monomial is used as it is and only its products with the target are
+    reduced.  A term of any other degree than ``q + 1 - r`` is not in the
+    index and raises ``KeyError``.
     """
     index = fiber.basis_index(q + 1 - next(iter(active.values())).page)
-    return [sum(1 << index[m] for m in _leibniz_terms(fiber, active, mono))
-            for mono in fiber.degree_basis(q)]
+    lowerings = [(fiber.gen_index[name], tgt.element.terms) for name, tgt in active.items()]
+    reduce_mono = fiber.reduce_mono
+    matrix = []
+    for mono in fiber.degree_basis(q):
+        terms: set[Mono] = set()
+        for idx, tgt_terms in lowerings:
+            e = mono[idx]
+            if e % 2:
+                lowered = list(mono)
+                lowered[idx] = e - 1
+                for b in tgt_terms:
+                    terms ^= reduce_mono(tuple(map(add, lowered, b)))
+        matrix.append(sum(1 << index[m] for m in terms))
+    return matrix
 
 
 @dataclass
@@ -285,6 +306,10 @@ def extend_by_leibniz(page: Page, assignment: DifferentialAssignment) -> PageDif
     must agree; a mismatch is raised as ``LeibnizInconsistency`` and names
     the violated relation together with the two disagreeing values.
 
+    Before the guard, every target must lie in fiber degree
+    ``deg(g) + 1 - r``; a hand-built target of another degree is refused
+    with ``SpectralModelError``.  Enumerated assignments always pass.
+
     The guard sees only the generators active on ``page.r``.  A relation
     broken by a later differential passes here and is reported on that later
     page: Q(1, 4) case A (``d_3(d) = t^3``) passes on E_2 and is rejected on
@@ -297,6 +322,12 @@ def extend_by_leibniz(page: Page, assignment: DifferentialAssignment) -> PageDif
     active = assignment.active_at(r)
     if not active:
         return PageDifferential(r, active, {})   # no row moves: turn_page keeps every cell
+    for name, tgt in active.items():
+        due = fiber.generators[fiber.gen_index[name]].degree + 1 - r
+        if tgt.element.degree not in (None, due):   # a zero target is refused below
+            raise SpectralModelError(
+                f"declared target {tgt.render()} for {name} on page {r} "
+                f"must lie in fiber degree {due}")
     for rule in fiber.rules:
         lhs_val = differential_value(fiber, active, rule.lhs)
         rhs_val = fiber.zero()
@@ -342,82 +373,91 @@ def turn_page(page: Page, diff: PageDifferential) -> Page:
     ``0..S + r``: column p' takes its cycles from stored column
     ``min(p', S)`` and its incoming images from column ``p' - r <= S``.
 
+    A moving cell costs one elimination: the pairs (image reduced modulo
+    the target's boundaries, cycle) are eliminated together
+    (``gf2.kernel_vectors``), so the new cycles come out in E_2 coordinates
+    and one RREF makes them a ``Subspace``.  A cycle survives when its image
+    is zero modulo the target's boundaries.
+
     A row with no target cell, or on which d_r is zero, keeps its cycles:
     every image vanishes, so no check can fail there.  A new cell that
-    receives no image and keeps its cycles is the previous page's ``Cell``,
-    whose boundaries passed the kernel check when it was built.  If d_r
-    moves nothing at all, the page is E_r again and S stays put.
+    receives no image is built and checked once per stored cell and shared
+    by every column that reads it; if it also keeps its cycles, it is the
+    previous page's ``Cell``, whose boundaries passed the kernel check when
+    it was built.  If d_r moves nothing at all, the page is E_r again and S
+    stays put.
 
-    Checks, in order, wherever d_r moves something: images of cycles are
-    cycles, images of boundaries are boundaries (representative
-    independence), the square of the differential vanishes, and finally
+    Checks, in order, wherever d_r moves something: per cycle, its image is
+    a cycle and the square of the differential vanishes on it; images of
+    boundaries are boundaries (representative independence); and finally
     image-inside-kernel for every changed cell.
     """
     if diff.r != page.r:
         raise ValueError("differential was computed for a different page")
     r, stable = page.r, page.stable
-    moving = {q for q, matrix in diff.row_matrices.items() if any(matrix)}
-    images: dict[tuple[int, int], list[int]] = {}   # by source cell
-    cycles: dict[tuple[int, int], gf2.Subspace] = {}
+    matrices = diff.row_matrices
+    moving = {q for q, matrix in matrices.items() if any(matrix)}
+    columns: dict[int, list[tuple[int, Cell, gf2.Subspace]]] = {}   # (q, cell, new cycles)
+    images: dict[tuple[int, int], list[int]] = {}   # nonzero images, by source cell
     for pos in sorted(page.cells):
         p, q = pos
         cell = page.cells[pos]
-        tgt_cell = page.cell(p + r, q + 1 - r)
-        if tgt_cell is None or q not in moving:
-            cycles[pos] = cell.cycles
-            continue
-        raws = []
-        for vec in cell.cycles.basis:
-            raw = diff.apply(q, vec)
-            if raw and not tgt_cell.cycles.contains(raw):
-                raise SpectralModelError(
-                    f"differential image at ({p},{q}) is not a cycle on page {r}")
-            _check_square_zero(page, diff, p, q, raw)
-            raws.append(raw)
-        for bnd in cell.boundaries.basis:
-            image = diff.apply(q, bnd)
-            if image and not tgt_cell.boundaries.contains(image):
-                raise SpectralModelError(
-                    f"differential at ({p},{q}) is not well defined on cosets")
-        # a cycle survives when its image is zero modulo the target's boundaries
-        kernel = gf2.kernel_basis([tgt_cell.boundaries.reduce(v) for v in raws])
-        cycles[pos] = gf2.Subspace.from_vectors(
-            (gf2.combine(lam, cell.cycles.basis) for lam in kernel.basis),
-            cell.cycles.ambient_dim)
-        images[pos] = [v for v in raws if v]
-    new_stable = stable + r if any(images.values()) else stable
+        cycles = cell.cycles
+        tgt_cell = page.cell(p + r, q + 1 - r) if q in moving else None
+        if tgt_cell is not None:
+            matrix, square = matrices[q], matrices.get(q + 1 - r)
+            tgt_cycles, tgt_boundaries = tgt_cell.cycles, tgt_cell.boundaries
+            cell2 = page.cell(p + 2 * r, q + 2 - 2 * r)
+            nonzero, reduced = [], []
+            for vec in cycles.basis:
+                raw = gf2.combine(vec, matrix)
+                if raw:
+                    if not tgt_cycles.contains(raw):
+                        raise SpectralModelError(
+                            f"differential image at ({p},{q}) is not a cycle on page {r}")
+                    second = square and gf2.combine(raw, square)
+                    if second and not (cell2 is not None and cell2.boundaries.contains(second)):
+                        raise LeibnizInconsistency(
+                            r, f"the differential does not square to zero at ({p},{q})")
+                    nonzero.append(raw)
+                    raw = tgt_boundaries.reduce(raw)
+                reduced.append(raw)
+            for bnd in cell.boundaries.basis:
+                image = gf2.combine(bnd, matrix)
+                if image and not tgt_boundaries.contains(image):
+                    raise SpectralModelError(
+                        f"differential at ({p},{q}) is not well defined on cosets")
+            if any(reduced):
+                cycles = gf2.Subspace.from_vectors(
+                    gf2.kernel_vectors(reduced, cycles.basis), cycles.ambient_dim)
+            if nonzero:
+                images[pos] = nonzero
+        columns.setdefault(p, []).append((q, cell, cycles))
+    new_stable = stable + r if images else stable
     new_cells = {}
+    unhit: dict[tuple[int, int], Cell] = {}   # by stored cell: the new cell without images
     for p in range(new_stable + 1):
-        for q in range(page.fiber.top_degree + 1):
-            cell = page.cell(p, q)
-            if cell is None:
-                continue
-            incoming = images.get((p - r, q + r - 1), [])
-            kept = cycles[(min(p, stable), q)]
-            if not incoming and kept is cell.cycles:
-                new_cells[(p, q)] = cell
-                continue
-            boundaries = cell.boundaries.add(incoming)
-            if not kept.contains_subspace(boundaries):
-                raise SpectralModelError(
-                    f"image is not contained in the kernel at {(p, q)} on page {r}")
-            new_cells[(p, q)] = Cell(kept, boundaries)
+        column = min(p, stable)
+        for q, cell, cycles in columns.get(column, ()):
+            incoming = images.get((p - r, q + r - 1))
+            if incoming is None:
+                new = unhit.get((column, q))
+                if new is None:
+                    new = cell if cycles is cell.cycles else _checked_cell(
+                        cycles, cell.boundaries, p, q, r)
+                    unhit[(column, q)] = new
+            else:
+                new = _checked_cell(cycles, cell.boundaries.add(incoming), p, q, r)
+            new_cells[(p, q)] = new
     return Page(page.fiber, r + 1, new_stable, new_cells)
 
 
-def _check_square_zero(page: Page, diff: PageDifferential, p: int, q: int,
-                       raw: int):
-    if not raw:
-        return
-    second = diff.apply(q + 1 - diff.r, raw)
-    if not second:
-        return
-    cell2 = page.cell(p + 2 * diff.r, q + 2 - 2 * diff.r)
-    if cell2 is not None and cell2.boundaries.contains(second):
-        return
-    raise LeibnizInconsistency(
-        diff.r,
-        f"the differential does not square to zero at ({p},{q})")
+def _checked_cell(cycles: gf2.Subspace, boundaries: gf2.Subspace,
+                  p: int, q: int, r: int) -> Cell:
+    if not cycles.contains_subspace(boundaries):
+        raise SpectralModelError(
+            f"image is not contained in the kernel at {(p, q)} on page {r}")
+    return Cell(cycles, boundaries)
 
 
 # -- running cases ---------------------------------------------------------------

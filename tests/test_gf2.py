@@ -12,6 +12,7 @@ from orbitcoh.gf2 import (
     combine,
     image_basis,
     kernel_basis,
+    kernel_vectors,
     rank,
     rref,
     solve,
@@ -83,6 +84,68 @@ class TestKernel:
         ker = kernel_basis(columns)
         for v in ker.basis:
             assert combine(v, columns) == 0
+
+
+@st.composite
+def image_source_pairs(draw):
+    """(n, images, sources): up to 6 images, each a combination of up to 3
+    drawn vectors (so zero and dependent images are common), and as many
+    sources of width n <= 6, drawn either independent (an RREF basis) or
+    freely, with zeros and repeats."""
+    count = draw(st.integers(0, 6))
+    spanning = draw(st.lists(st.integers(0, 63), max_size=3))
+    images = [combine(draw(st.integers(0, 2 ** len(spanning) - 1)), spanning)
+              for _ in range(count)]
+    n = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        basis = Subspace.from_vectors(draw(vectors_of(n)), n).basis
+        sources = list(basis[:count])
+        images = images[:len(sources)]
+    else:
+        pool = draw(st.lists(st.integers(0, 2 ** n - 1), min_size=1, max_size=3))
+        sources = [draw(st.sampled_from(pool + [0])) for _ in range(count)]
+    return n, images, sources
+
+
+def kernel_by_relations(images, sources, n):
+    """The unshortened path: a kernel basis of the images' relations, each
+    relation combined over the sources, then the RREF of those vectors."""
+    return Subspace.from_vectors(
+        (combine(lam, sources) for lam in kernel_basis(images).basis), n)
+
+
+class TestKernelVectors:
+    @given(image_source_pairs())
+    @settings(max_examples=300)
+    def test_matches_the_relation_path(self, case):
+        n, images, sources = case
+        assert Subspace.from_vectors(kernel_vectors(images, sources), n) == \
+            kernel_by_relations(images, sources, n)
+
+    @given(image_source_pairs())
+    def test_one_vector_per_dependent_image(self, case):
+        _, images, sources = case
+        assert len(kernel_vectors(images, sources)) == len(images) - rank(images)
+
+    def test_zero_images_keep_every_source(self):
+        sources = [vec([1, 0, 1]), vec([0, 1, 0])]
+        assert kernel_vectors([0, 0], sources) == sources
+
+    def test_dependent_images(self):
+        # images e0, e1, e0 + e1: the third source plus the first two is the kernel
+        images = [vec([1, 0]), vec([0, 1]), vec([1, 1])]
+        sources = [vec([1, 0, 0]), vec([0, 1, 0]), vec([0, 0, 1])]
+        assert kernel_vectors(images, sources) == [vec([1, 1, 1])]
+
+    def test_dependent_sources(self):
+        # the same source twice with independent images: nothing maps to zero
+        assert kernel_vectors([vec([1, 0]), vec([0, 1])], [vec([1]), vec([1])]) == []
+        # with equal images the repeat leaves the zero vector
+        assert kernel_vectors([vec([1]), vec([1])], [vec([1]), vec([1])]) == [0]
+
+    def test_rejects_lists_of_different_lengths(self):
+        with pytest.raises(ValueError):
+            kernel_vectors([0, 0], [vec([1])])
 
 
 class TestImage:

@@ -17,6 +17,7 @@ from orbitcoh.algebra import (
 )
 from orbitcoh.spectral import (
     Cell,
+    DifferentialAssignment,
     LeibnizInconsistency,
     Page,
     PageDifferential,
@@ -32,7 +33,7 @@ from orbitcoh.spectral import (
     run_case,
     turn_page,
 )
-from orbitcoh.spectral import _check_square_zero, _derivation_matrix
+from orbitcoh.spectral import _derivation_matrix
 
 # Q(1, 3) has top degree 8; with dim_x = 8 the former fixed window of
 # dim_x + top + 3 columns was 19, and the ported checks cover at least it.
@@ -221,6 +222,40 @@ class TestTargetGuards:
         with pytest.raises(SpectralModelError) as err:
             extend_by_leibniz(e3, asgn)
         assert str(err.value) == "declared target t^3 for b is not a nonzero class on page 3"
+
+    @staticmethod
+    def hand_built(fiber, name, page, elem):
+        """One generator transgressing to ``t^page * elem``, the others permanent."""
+        choices = tuple((g.name, TransgressionTarget(page, elem) if g.name == name else None)
+                        for g in fiber.generators)
+        return DifferentialAssignment(fiber, choices, "hand-built")
+
+    @pytest.mark.parametrize("page, due", [(2, 2), (3, 1)])
+    def test_target_of_the_wrong_degree_on_a_sphere(self, page, due):
+        # on S^3, d_r(a) lands in fiber degree 4 - r, so t^2 and t^3 alone do not fit
+        s3 = sphere_presentation(3)
+        asgn = self.hand_built(s3, "a", page, s3.unit())
+        expected = (f"declared target t^{page} for a on page {page} "
+                    f"must lie in fiber degree {due}")
+        with pytest.raises(SpectralModelError) as err:
+            run_case(s3, 3, asgn)
+        assert str(err.value) == expected
+        with pytest.raises(SpectralModelError) as err:
+            extend_by_leibniz(page_r(s3, asgn, page), asgn)
+        assert str(err.value) == expected
+
+    def test_target_degree_is_checked_before_the_relation_guard(self):
+        # with the unit as target, d_2(b^3) = t^2*b^2 would break b^3 = 0, but
+        # the unit is not in degree 1, where d_2 of the degree-2 generator b lands
+        fiber = AlgebraPresentation([("a", 1), ("b", 2)], [((2, 0), ()), ((0, 3), ())])
+        asgn = self.hand_built(fiber, "b", 2, fiber.unit())
+        assert differential_value(fiber, asgn.active_at(2), (0, 3))
+        with pytest.raises(SpectralModelError) as err:
+            extend_by_leibniz(build_e2(fiber), asgn)
+        assert str(err.value) == "declared target t^2 for b on page 2 must lie in fiber degree 1"
+        # a target of the right degree reaches the guard: d_2(b^3) = t^2*a*b^2
+        with pytest.raises(LeibnizInconsistency):
+            extend_by_leibniz(build_e2(fiber), self.hand_built(fiber, "b", 2, fiber.gen("a")))
 
     def test_image_that_is_not_a_cycle(self):
         # d_2(b) = t^2*a, so b is no longer a cycle, yet d_3(a*b) = t^3*b
@@ -713,6 +748,22 @@ def test_golden_verdict_digest():
     assert digest == "d85b2cf0800516e5"
 
 
+def _check_square_zero(page, diff, p, q, raw):
+    """The square-zero check of one image, as ``turn_page`` made it before
+    the check moved inline."""
+    if not raw:
+        return
+    second = diff.apply(q + 1 - diff.r, raw)
+    if not second:
+        return
+    cell2 = page.cell(p + 2 * diff.r, q + 2 - 2 * diff.r)
+    if cell2 is not None and cell2.boundaries.contains(second):
+        return
+    raise LeibnizInconsistency(
+        diff.r,
+        f"the differential does not square to zero at ({p},{q})")
+
+
 def turn_page_by_every_cell(page, diff):
     """``turn_page`` before it turned only what d_r moves: every stored cell
     is turned and every new cell rebuilt and checked, and S grows by r on
@@ -804,6 +855,11 @@ class TestTurnPageShortcut:
         cases, raised = self.assert_turns_match(golden_fibers())
         assert cases == 1232
         assert raised > 0
+
+    @given(monomial_presentations().filter(lambda p: p.top_degree <= 12))
+    @settings(max_examples=40, deadline=None)
+    def test_random_monomial_presentations(self, fiber):
+        self.assert_turns_match([fiber])
 
     def test_untouched_cells_are_the_previous_cells(self):
         # case A of Q(1, 3) is d_3(d) = t^3: rows 0 and 1 have no target row,
