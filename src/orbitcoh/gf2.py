@@ -4,48 +4,18 @@ A vector is a Python ``int`` with bit j as coordinate j, so a vector of
 GF(2)^n is an int below ``2**n`` and addition is XOR.  A linear map is the
 list of the images of its basis vectors: its columns, as ints.
 
-Every function but ``kernel_vectors`` runs through one elimination,
-``_eliminate``, to reduced row echelon form (RREF) with the pivot of each
-row at its lowest set bit.  RREF is unique per subspace, so every derived
-basis (kernels, images, coset representatives) is reproducible between
-runs; ``kernel_vectors`` only spans a kernel, and its caller takes the
-RREF of the span.  All dimensions here are a few dozen at most, so plain
+``rref`` brings a span to reduced row echelon form (RREF) with the pivot
+of each row at its lowest set bit.  RREF is unique per subspace, so every
+derived basis (kernels, images, coset representatives) is reproducible
+between runs.  ``kernel_vectors`` is the one elimination that records how
+each row was formed; ``kernel_basis`` and ``solve`` read their answers
+from it.  All dimensions here are a few dozen at most, so plain
 elimination on word-packed vectors suffices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-def _eliminate(vectors) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan elimination that records how each row was formed.
-
-    Returns ``(echelon, relations)``.  ``echelon`` lists ``[pivot, row,
-    combo]`` by increasing pivot: ``pivot`` is the lowest set bit of ``row``
-    and of no other row, and ``combo`` selects the inputs (bit i for input i)
-    whose XOR is ``row``.  ``relations`` is a basis of the combos whose XOR
-    is zero, one for each input that depends on the earlier ones.
-    """
-    echelon: list[list[int]] = []
-    relations = []
-    for i, v in enumerate(vectors):
-        combo = 1 << i
-        for pivot, row, row_combo in echelon:
-            if v & pivot:
-                v ^= row
-                combo ^= row_combo
-        if not v:
-            relations.append(combo)
-            continue
-        pivot = v & -v
-        for entry in echelon:
-            if entry[1] & pivot:
-                entry[1] ^= v
-                entry[2] ^= combo
-        echelon.append([pivot, v, combo])
-    echelon.sort()
-    return echelon, relations
 
 
 def rref(vectors) -> tuple[list[int], list[int]]:
@@ -55,14 +25,25 @@ def rref(vectors) -> tuple[list[int], list[int]]:
     each fully reduced (no other row has its pivot bit set), and the pivot
     coordinates in the same order.
     """
-    echelon, _ = _eliminate(vectors)
-    return ([row for _, row, _ in echelon],
-            [pivot.bit_length() - 1 for pivot, _, _ in echelon])
+    echelon: list[list[int]] = []     # [pivot bit, row]
+    for v in vectors:
+        for pivot, row in echelon:
+            if v & pivot:
+                v ^= row
+        if v:
+            pivot = v & -v
+            for entry in echelon:
+                if entry[1] & pivot:
+                    entry[1] ^= v
+            echelon.append([pivot, v])
+    echelon.sort()
+    return ([row for _, row in echelon],
+            [pivot.bit_length() - 1 for pivot, _ in echelon])
 
 
 def rank(vectors) -> int:
     """Dimension of the span of ``vectors``; the rank of a map given by its columns."""
-    return len(_eliminate(vectors)[0])
+    return len(rref(vectors)[0])
 
 
 def combine(coeffs: int, vectors) -> int:
@@ -136,12 +117,6 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def kernel_basis(columns) -> Subspace:
-    """Kernel of the map with the given columns; dim = len(columns) - rank."""
-    _, relations = _eliminate(columns)
-    return Subspace.from_vectors(relations, len(columns))
-
-
 def kernel_vectors(images, sources) -> list[int]:
     """The vectors of ``span(sources)`` that a linear map sends to zero, given
     ``images[i]``, the image of ``sources[i]``.
@@ -165,6 +140,12 @@ def kernel_vectors(images, sources) -> list[int]:
         else:
             kernel.append(source)
     return kernel
+
+
+def kernel_basis(columns) -> Subspace:
+    """Kernel of the map with the given columns; dim = len(columns) - rank."""
+    units = [1 << i for i in range(len(columns))]
+    return Subspace.from_vectors(kernel_vectors(columns, units), len(columns))
 
 
 def image_basis(columns) -> Subspace:
@@ -199,12 +180,13 @@ def solve(rows, target: int) -> int | None:
     """Coefficients ``x`` with ``combine(x, rows) == target``, or ``None``.
 
     ``rows`` spans the candidate space; the solution is unique when the rows
-    are independent.
+    are independent.  The target is eliminated after the rows, with unit
+    sources: it lies in their span exactly when it leaves a kernel vector
+    with its own bit n set, and the other bits are the coefficients.
     """
-    echelon, _ = _eliminate(rows)
-    x = 0
-    for pivot, row, combo in echelon:
-        if target & pivot:
-            target ^= row
-            x ^= combo
-    return None if target else x
+    rows = list(rows)
+    n = len(rows)
+    kernel = kernel_vectors(rows + [target], [1 << i for i in range(n + 1)])
+    if kernel and kernel[-1] >> n & 1:
+        return kernel[-1] ^ (1 << n)
+    return None

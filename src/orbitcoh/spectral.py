@@ -235,14 +235,13 @@ def differential_value(fiber: AlgebraPresentation,
 
     Terms are XORed into one set by the same ``reduce_mono`` calls that
     ``fiber.element([lowered]) * tgt.element`` makes, on any presentation.
-    The derivation matrices (``_derivation_matrix``) skip the first of
-    them: they lower only basis monomials, which are in normal form.
     """
     return Element(fiber, frozenset(_leibniz_terms(fiber, active, mono)))
 
 
 def _leibniz_terms(fiber, active, mono: Mono) -> set[Mono]:
-    """The normal-form monomials of ``differential_value``, as a set."""
+    """The normal-form monomials of ``differential_value``, as a set: the one
+    Leibniz loop, behind the derivation matrices and the relation guard."""
     terms: set[Mono] = set()
     for name, tgt in active.items():
         idx = fiber.gen_index[name]
@@ -258,31 +257,16 @@ def _leibniz_terms(fiber, active, mono: Mono) -> set[Mono]:
 
 def _derivation_matrix(fiber, active, q: int) -> list[int]:
     """The derivation from row q to row q + 1 - r in E_2 coordinates: the
-    images of the basis of row q.
+    images of the basis of row q, each the bit mask of its ``_leibniz_terms``.
 
     ``active`` is nonempty: it holds the generators transgressing on page r.
-    Each image is the bit mask of the terms of ``_leibniz_terms``; the terms
-    are distinct, so their bits add up without carries.  A basis monomial
-    is in normal form and so is each of its divisors, so the lowered
-    monomial is used as it is and only its products with the target are
-    reduced.  A term of any other degree than ``q + 1 - r`` is not in the
-    index and raises ``KeyError``.
+    The terms are distinct, so their bits add up without carries.  A term
+    of any other degree than ``q + 1 - r`` is not in the index and raises
+    ``KeyError``.
     """
     index = fiber.basis_index(q + 1 - next(iter(active.values())).page)
-    lowerings = [(fiber.gen_index[name], tgt.element.terms) for name, tgt in active.items()]
-    reduce_mono = fiber.reduce_mono
-    matrix = []
-    for mono in fiber.degree_basis(q):
-        terms: set[Mono] = set()
-        for idx, tgt_terms in lowerings:
-            e = mono[idx]
-            if e % 2:
-                lowered = list(mono)
-                lowered[idx] = e - 1
-                for b in tgt_terms:
-                    terms ^= reduce_mono(tuple(map(add, lowered, b)))
-        matrix.append(sum(1 << index[m] for m in terms))
-    return matrix
+    return [sum(1 << index[m] for m in _leibniz_terms(fiber, active, mono))
+            for mono in fiber.degree_basis(q)]
 
 
 @dataclass
@@ -329,11 +313,13 @@ def extend_by_leibniz(page: Page, assignment: DifferentialAssignment) -> PageDif
                 f"declared target {tgt.render()} for {name} on page {r} "
                 f"must lie in fiber degree {due}")
     for rule in fiber.rules:
-        lhs_val = differential_value(fiber, active, rule.lhs)
-        rhs_val = fiber.zero()
+        lhs_terms = _leibniz_terms(fiber, active, rule.lhs)
+        rhs_terms: set[Mono] = set()
         for mono in rule.rhs:
-            rhs_val = rhs_val + differential_value(fiber, active, mono)
-        if lhs_val != rhs_val:
+            rhs_terms ^= _leibniz_terms(fiber, active, mono)
+        if lhs_terms != rhs_terms:
+            lhs_val = Element(fiber, frozenset(lhs_terms))
+            rhs_val = Element(fiber, frozenset(rhs_terms))
             rhs_elem = Element(fiber, rule.rhs)
             raise LeibnizInconsistency(
                 r,
@@ -341,7 +327,9 @@ def extend_by_leibniz(page: Page, assignment: DifferentialAssignment) -> PageDif
                 f"the differential sends the two sides to t^{r}*({lhs_val}) "
                 f"and t^{r}*({rhs_val})")
     _check_targets_alive(page, active)
-    rows = {q: _derivation_matrix(fiber, active, q) for q in range(fiber.top_degree + 1)}
+    # below row r - 1 the target degree q + 1 - r is negative, so no row moves
+    rows = {q: _derivation_matrix(fiber, active, q)
+            for q in range(r - 1, fiber.top_degree + 1)}
     return PageDifferential(r, active, rows)
 
 
@@ -520,15 +508,18 @@ def format_grid(page: Page) -> str:
     """Fixed-width dimension grid, q vertical and p horizontal.
 
     Shows the stored columns ``0..stable``; the last one repeats to the right.
+    A column is one wider than the widest header label or dimension shown.
     """
-    width = max(len(str(page.stable)), 2) + 1
+    columns = range(page.stable + 1)
+    degrees = range(page.fiber.top_degree, -1, -1)
+    dims = [[page.dim(p, q) for p in columns] for q in degrees]
+    width = max(len(str(page.stable)), len(str(max(map(max, dims)))), 2) + 1
     lines = [f"E_{page.r} page (fiber {page.fiber.name or 'custom'}, "
              f"columns 0..{page.stable})"]
-    header = "  q\\p|" + "".join(str(p).rjust(width) for p in range(page.stable + 1))
+    header = "  q\\p|" + "".join(str(p).rjust(width) for p in columns)
     lines.append(header)
     lines.append("  " + "-" * (len(header) - 2))
-    for q in range(page.fiber.top_degree, -1, -1):
-        lines.append(str(q).rjust(4) + "|" + "".join(
-            str(page.dim(p, q)).rjust(width) for p in range(page.stable + 1)))
+    for q, row in zip(degrees, dims):
+        lines.append(str(q).rjust(4) + "|" + "".join(str(d).rjust(width) for d in row))
     lines.append(f"  (column {page.stable} repeats in every column to its right)")
     return "\n".join(lines)

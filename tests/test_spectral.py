@@ -11,6 +11,7 @@ from test_actions import monomial_presentations
 from orbitcoh import gf2, spectral
 from orbitcoh.algebra import (
     AlgebraPresentation,
+    Element,
     dold_presentation,
     sphere_presentation,
     wall_presentation,
@@ -469,6 +470,23 @@ class TestGridRendering:
         data_lines = [l for l in lines if "|" in l and not l.strip().startswith("q")]
         assert len(data_lines) == q13.top_degree + 1
 
+    def test_every_row_shows_one_number_per_column(self):
+        # the exterior algebra on ten degree-1 generators has cells of
+        # dimension 126 on E_3, wider than the labels of its three columns
+        ext = AlgebraPresentation([(f"a{i}", 1) for i in range(10)],
+                                  [(tuple(2 * (j == i) for j in range(10)), ())
+                                   for i in range(10)])
+        q13 = wall_presentation(1, 3)
+        runs = [(ext, TestTargetGuards.hand_built(ext, "a0", 2, ext.unit())),
+                (q13, assignments_by_id(q13)["B1"])]
+        for fiber, asgn in runs:
+            for page in pages(fiber, asgn):
+                for line in format_grid(page).splitlines()[3:-1]:
+                    label, body = line.split("|")
+                    q = int(label)
+                    assert [int(d) for d in body.split()] == \
+                        [page.dim(p, q) for p in range(page.stable + 1)], (page.r, line)
+
 
 class TestStableColumns:
     """A page stores columns 0..S and column S stands for every later column.
@@ -707,6 +725,68 @@ class TestDifferentialValueShortcut:
         actives = [dict.fromkeys(names, tgt) for tgt in targets
                    for names in (("x",), ("c",), ("x", "c"))]
         assert_differential_values_match(bad, actives, 6)
+
+
+def relation_guard_by_elements(fiber, r, active):
+    """The relation guard on ``Element`` values, as ``extend_by_leibniz``
+    ran it before it compared term sets: the reference for its verdict and
+    its message."""
+    for rule in fiber.rules:
+        lhs_val = differential_value_by_elements(fiber, active, rule.lhs)
+        rhs_val = fiber.zero()
+        for mono in rule.rhs:
+            rhs_val = rhs_val + differential_value_by_elements(fiber, active, mono)
+        if lhs_val != rhs_val:
+            rhs_elem = Element(fiber, rule.rhs)
+            raise LeibnizInconsistency(
+                r,
+                f"relation {fiber.mono_str(rule.lhs)} = {rhs_elem} is violated: "
+                f"the differential sends the two sides to t^{r}*({lhs_val}) "
+                f"and t^{r}*({rhs_val})")
+
+
+def guard_message(check):
+    """``str`` of the ``LeibnizInconsistency`` that ``check()`` raises, or None."""
+    try:
+        check()
+    except LeibnizInconsistency as exc:
+        return str(exc)
+    return None
+
+
+def assert_guards_agree(fiber):
+    """On every active page of every assignment, ``extend_by_leibniz`` and
+    the reference raise the same ``LeibnizInconsistency`` or neither does.
+
+    The guard reads only the page number, so E_2's cells stand in for
+    E_r, where every declared class is alive; this also reaches the pages
+    after one on which a run dies.  Returns the messages, None for a pass.
+    """
+    cells = build_e2(fiber).cells
+    messages = []
+    for asgn in enumerate_assignments(fiber):
+        for r in asgn.active_pages():
+            expected = guard_message(
+                lambda: relation_guard_by_elements(fiber, r, asgn.active_at(r)))
+            got = guard_message(lambda: extend_by_leibniz(Page(fiber, r, 0, cells), asgn))
+            assert got == expected, (fiber.name, asgn.case_id, r)
+            messages.append(got)
+    return messages
+
+
+class TestRelationGuardReference:
+    def test_wall_fibers(self):
+        # the Wall rule c^(m+1) = c^m * x has a nonzero right-hand side
+        messages = [msg for m in range(4) for n in range(4)
+                    for msg in assert_guards_agree(wall_presentation(m, n))]
+        # some pass, and some fail with a nonzero value on the right-hand side
+        assert None in messages
+        assert any(msg is not None and not msg.endswith("*(0)") for msg in messages)
+
+    @given(monomial_presentations().filter(lambda p: p.top_degree <= 12))
+    @settings(max_examples=60, deadline=None)
+    def test_random_monomial_presentations(self, fiber):
+        assert_guards_agree(fiber)
 
 
 def golden_fibers():
