@@ -163,7 +163,23 @@ def bredon_obstruction(pres: AlgebraPresentation,
 
 def is_trivial_in_degrees_ge_2(pres: AlgebraPresentation,
                                cand: EndoCandidate) -> bool:
-    return all(_fixes_degree(pres, cand, q) for q in range(2, pres.top_degree + 1))
+    """True when the candidate fixes every basis monomial of degree >= 2.
+
+    Only the degrees 2..D+2 are checked, D the largest generator degree;
+    the algebra need not be finite.  Suppose T fixes those degrees and m is
+    a basis monomial with deg m >= D + 3.  Peel generators off m until
+    their product a has degree >= 2: then 2 <= deg a <= D + 1, since the
+    last generator added has degree <= D, and deg(m/a) >= 2.  A divisor of
+    a normal-form monomial is in normal form, so a and m/a are basis
+    monomials, and ``apply_candidate`` is multiplicative on exponent vectors
+    (multiplication is well defined because the rewrite system is
+    confluent).  By induction on the degree, T(m) = T(a)·T(m/a) =
+    a·(m/a) = m.  T need not map the relations to zero.
+    """
+    bound = max((g.degree for g in pres.generators), default=0) + 2
+    if pres.top_degree is not None:
+        bound = min(bound, pres.top_degree)
+    return all(_fixes_degree(pres, cand, q) for q in range(2, bound + 1))
 
 
 def _record(pres: AlgebraPresentation, cand: EndoCandidate) -> CandidateRecord:

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,6 +50,26 @@ def every_degree_ring_check(pres, cand):
     return True, None
 
 
+def fixes_degree(pres, cand, q):
+    """Reference: the candidate fixes every basis monomial of degree ``q``."""
+    return all(apply_candidate(pres, cand, mono) == pres.element([mono])
+               for mono in pres.degree_basis(q))
+
+
+def every_degree_triviality(pres, cand):
+    """Reference: the candidate fixes every basis monomial of every degree
+    2..top."""
+    return all(fixes_degree(pres, cand, q) for q in range(2, pres.top_degree + 1))
+
+
+def any_candidate(pres, data):
+    """A candidate whose generator images are any element of the right
+    degree, zero included."""
+    return EndoCandidate(tuple(
+        (g.name, data.draw(st.sampled_from([pres.zero()] + pres.nonzero_elements(g.degree))))
+        for g in pres.generators))
+
+
 def bredon_at_degree(pres, cand, l):
     """Reference: the fixed-point obstruction searched in a degree ``l`` chosen
     by the caller, refused when the algebra does not vanish above 2l or the
@@ -56,8 +78,7 @@ def bredon_at_degree(pres, cand, l):
     if top is None or top > 2 * l:
         raise ObstructionInapplicable(
             f"cohomology does not vanish above degree {2 * l}")
-    if any(apply_candidate(pres, cand, mono) != pres.element([mono])
-           for mono in pres.degree_basis(2 * l)):
+    if not fixes_degree(pres, cand, 2 * l):
         raise ObstructionInapplicable(
             f"candidate is not the identity in degree {2 * l}")
     for a in pres.nonzero_elements(l):
@@ -152,10 +173,7 @@ class TestRingEndomorphism:
     @settings(max_examples=80, deadline=None)
     def test_generator_degrees_match_every_degree_on_random_presentations(self, pres, data):
         for _ in range(10):
-            cand = EndoCandidate(tuple(
-                (g.name, data.draw(st.sampled_from(
-                    [pres.zero()] + pres.nonzero_elements(g.degree))))
-                for g in pres.generators))
+            cand = any_candidate(pres, data)
             assert is_ring_endomorphism(pres, cand) == every_degree_ring_check(pres, cand)
 
     @pytest.mark.parametrize(
@@ -264,6 +282,46 @@ class TestTrivialAboveDegreeOne:
         cand = candidate(self.q13, x="x", c="c", d="d + x*c")
         assert not is_trivial_in_degrees_ge_2(self.q13, cand)
 
+    def test_c_twist_first_moves_degree_3(self):
+        # x(c + x) = xc and d is fixed, but T(cd) = cd + xd: checking degree 2
+        # alone would call the twist trivial
+        cand = candidate(self.q13, x="x", c="c + x", d="d")
+        assert fixes_degree(self.q13, cand, 2)
+        assert not fixes_degree(self.q13, cand, 3)
+
+    def test_degree_one_generators_first_move_degree_3(self):
+        # D = 1 needs every degree up to D + 2: x(y + x) = xy and
+        # (y + x)^2 = y^2 fix A_2, but (y + x)^3 = y^3 + x*y^2
+        pres = AlgebraPresentation([("x", 1), ("y", 1)], [((2, 0), ()), ((0, 4), ())])
+        cand = candidate(pres, x="x", y="y + x")
+        assert fixes_degree(pres, cand, 2)
+        assert not is_trivial_in_degrees_ge_2(pres, cand)
+
+    def test_infinite_algebra(self):
+        poly = AlgebraPresentation([("t", 1), ("u", 2)], [])
+        assert poly.top_degree is None
+        assert is_trivial_in_degrees_ge_2(poly, candidate(poly, t="t", u="u"))
+        assert not is_trivial_in_degrees_ge_2(poly, candidate(poly, t="t", u="u + t^2"))
+
+    def test_point(self):
+        assert is_trivial_in_degrees_ge_2(AlgebraPresentation([], []), EndoCandidate(()))
+
+    @given(monomial_presentations().filter(lambda p: p.top_degree <= 12), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_bound_matches_every_degree_on_random_presentations(self, pres, data):
+        for _ in range(10):
+            cand = any_candidate(pres, data)
+            assert is_trivial_in_degrees_ge_2(pres, cand) == every_degree_triviality(pres, cand)
+
+    @pytest.mark.parametrize(
+        "pres",
+        [wall_presentation(m, n) for m in range(4) for n in range(6)]
+        + [dold_presentation(m, n) for m in range(4) for n in range(4)],
+        ids=lambda pres: pres.name)
+    def test_bound_matches_every_degree_exhaustively(self, pres):
+        for cand in enumerate_candidates(pres):
+            assert is_trivial_in_degrees_ge_2(pres, cand) == every_degree_triviality(pres, cand)
+
 
 class TestClassification:
     def test_q15_survivors(self):
@@ -339,3 +397,25 @@ class TestClassification:
     def test_even_n_rejected(self):
         with pytest.raises(ValueError):
             classify_free_actions(1, 4)
+
+
+def record_rows(pairs):
+    """One row per candidate of ``classify_free_actions(m, n)``: its
+    description, status, stage, reason, triviality flag and witness."""
+    for m, n in pairs:
+        for r in classify_free_actions(m, n).records:
+            witness = r.witness and (str(r.witness.middle_class), str(r.witness.product))
+            yield (m, n, r.candidate.describe(), r.status, r.stage, r.reason,
+                   r.trivial_in_degrees_ge_2, witness)
+
+
+def test_golden_record_digest():
+    # The actions half's counterpart of test_spectral.py's verdict pin: Q(m, n)
+    # for m <= 5, odd n and top degree m + 2n + 1 <= 20.  A change that moves
+    # a record on purpose updates the pin and lists the moved records in
+    # CHANGES.md.
+    pairs = [(m, n) for m in range(6) for n in range(1, 20, 2) if m + 2 * n + 1 <= 20]
+    rows = list(record_rows(pairs))
+    assert len(rows) == 1148
+    digest = hashlib.sha256("\n".join(map(repr, rows)).encode()).hexdigest()[:16]
+    assert digest == "58df12286b032e87"
