@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import gf2, wall
-from .algebra import AlgebraPresentation, Element, wall_presentation
+from .algebra import AlgebraPresentation, Element, PresentationError, wall_presentation
 
 
 class ObstructionInapplicable(ValueError):
@@ -92,8 +92,17 @@ def enumerate_candidates(pres: AlgebraPresentation) -> list[EndoCandidate]:
 
 def apply_candidate(pres: AlgebraPresentation, cand: EndoCandidate,
                     elem_or_mono) -> Element:
-    """Image of an element (or a raw monomial) under the candidate map."""
-    monos = elem_or_mono.terms if isinstance(elem_or_mono, Element) else [tuple(elem_or_mono)]
+    """Image of an element (or a raw monomial) under the candidate map.
+
+    A raw monomial needs one exponent >= 0 per generator."""
+    if isinstance(elem_or_mono, Element):
+        monos = elem_or_mono.terms
+    else:
+        mono = tuple(elem_or_mono)
+        if len(mono) != len(pres.generators) or min(mono, default=0) < 0:
+            raise PresentationError(
+                f"monomial {mono} needs {len(pres.generators)} exponents >= 0")
+        monos = [mono]
     total = pres.zero()
     for mono in monos:
         term = pres.unit()

@@ -343,9 +343,23 @@ class Element:
         return self.algebra.element(prods)
 
     def __pow__(self, n: int) -> "Element":
-        out = self.algebra.unit()
-        for _ in range(n):
-            out = out * self
+        """``self`` to the ``n``-th power by square-and-multiply (Knuth,
+        TAOCP Vol. 2, 4.6.3): O(log n) products instead of n.
+
+        The squares regroup the n factors, so the result is the n-fold left
+        product only because multiplication is associative, which holds when
+        the rewrite system is confluent (``check_confluence``): normal forms
+        are then unique and the presentation is a ring.  Refuses ``n < 0``.
+        """
+        if n < 0:
+            raise ValueError(f"negative exponent {n}")
+        out, square = self.algebra.unit(), self
+        while n:
+            if n & 1:
+                out = out * square
+            n >>= 1
+            if n:
+                square = square * square
         return out
 
     def _check(self, other: "Element"):

@@ -69,7 +69,7 @@ class TransgressionTarget:
     element: Element
 
     def render(self) -> str:
-        if self.element == self.element.algebra.unit():
+        if self.element.terms == {self.element.algebra.unit_mono()}:
             return f"t^{self.page}"
         body = str(self.element)
         if len(self.element.terms) > 1:

@@ -20,6 +20,7 @@ from orbitcoh.actions import (
 from orbitcoh.algebra import (
     AlgebraPresentation,
     Element,
+    PresentationError,
     dold_presentation,
     wall_presentation,
 )
@@ -135,6 +136,20 @@ class TestEnumeration:
         q13 = wall_presentation(1, 3)
         ident = candidate(q13, x="x", c="c", d="d")
         assert ident in enumerate_candidates(q13)
+
+
+class TestApplyCandidate:
+    def test_raw_monomial(self):
+        q13 = wall_presentation(1, 3)
+        cand = candidate(q13, x="x", c="c + x", d="d")
+        assert apply_candidate(q13, cand, (0, 1, 1)) == q13.parse_element("c*d + x*d")
+
+    @pytest.mark.parametrize("mono", [(0, 0, 1, 5), (1,), (), (0, -1, 1)])
+    def test_rejects_malformed_raw_monomial(self, mono):
+        q13 = wall_presentation(1, 3)
+        cand = candidate(q13, x="x", c="c", d="d")
+        with pytest.raises(PresentationError, match="needs 3 exponents >= 0"):
+            apply_candidate(q13, cand, mono)
 
 
 class TestRingEndomorphism:

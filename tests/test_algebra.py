@@ -369,6 +369,31 @@ class TestRingAxioms:
         assert not (a + a)
 
 
+def left_power(a, k):
+    """Reference: the k-fold left product (((1*a)*a)*...)*a, one product at a
+    time."""
+    out = a.algebra.unit()
+    for _ in range(k):
+        out = out * a
+    return out
+
+
+class TestPower:
+    # Q(m, n)'s rule c^(m+1) = x*c^m is not monomial
+    @given(st.one_of(st.builds(wall_presentation, st.integers(0, 5), st.integers(0, 9)),
+                     monomial_presentations()),
+           st.integers(0, 40), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_squaring_matches_left_product(self, pres, k, data):
+        a = data.draw(wall_elements(pres))
+        assert a ** k == left_power(a, k)
+
+    def test_rejects_negative_exponent(self):
+        d = wall_presentation(1, 3).gen("d")
+        with pytest.raises(ValueError, match="negative exponent -1"):
+            d ** -1
+
+
 class TestValidation:
     def test_rejects_duplicate_names(self):
         with pytest.raises(PresentationError):
