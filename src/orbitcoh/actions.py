@@ -94,8 +94,11 @@ def apply_candidate(pres: AlgebraPresentation, cand: EndoCandidate,
                     elem_or_mono) -> Element:
     """Image of an element (or a raw monomial) under the candidate map.
 
-    A raw monomial needs one exponent >= 0 per generator."""
+    A raw monomial needs one exponent >= 0 per generator, and an element
+    must belong to ``pres``."""
     if isinstance(elem_or_mono, Element):
+        if elem_or_mono.algebra is not pres:
+            raise ValueError("elements belong to different presentations")
         monos = elem_or_mono.terms
     else:
         mono = tuple(elem_or_mono)

@@ -274,7 +274,11 @@ class AlgebraPresentation:
                 for mask in range(1, 2 ** len(basis))]
 
     def to_vector(self, elem: "Element", q: int) -> int:
-        """Bit mask of ``elem`` over ``degree_basis(q)``: bit i is basis monomial i."""
+        """Bit mask of ``elem`` over ``degree_basis(q)``: bit i is basis monomial i.
+
+        Refuses an element of another presentation, like ``Element._check``."""
+        if elem.algebra is not self:
+            raise ValueError("elements belong to different presentations")
         index = self.basis_index(q)
         vec = 0
         for m in elem.terms:
@@ -344,23 +348,35 @@ class Element:
 
     def __pow__(self, n: int) -> "Element":
         """``self`` to the ``n``-th power by square-and-multiply (Knuth,
-        TAOCP Vol. 2, 4.6.3): O(log n) products instead of n.
+        TAOCP Vol. 2, 4.6.3): popcount(n) - 1 products, and no product at
+        all for a power of two.
 
         The squares regroup the n factors, so the result is the n-fold left
         product only because multiplication is associative, which holds when
         the rewrite system is confluent (``check_confluence``): normal forms
-        are then unique and the presentation is a ring.  Refuses ``n < 0``.
+        are then unique and the presentation is a ring.
+
+        Each square is the Frobenius square: the sum of the doubled
+        monomials.  The product ``a * a`` of a sum of monomials m_i makes
+        every cross term m_i*m_j twice, once as (i, j) and once as (j, i),
+        as the same exponent tuple, so the pair cancels over GF(2) and only
+        the m_i^2 remain; both are then reduced by the same ``normal_form``.
+        The first factor needed starts the product instead of the unit,
+        since a product with the unit only renormalises terms already in
+        normal form.  ``n == 0`` gives the unit; refuses ``n < 0``.
         """
         if n < 0:
             raise ValueError(f"negative exponent {n}")
-        out, square = self.algebra.unit(), self
-        while n:
+        if n == 0:
+            return self.algebra.unit()
+        out, square = None, self
+        while True:
             if n & 1:
-                out = out * square
+                out = square if out is None else out * square
             n >>= 1
-            if n:
-                square = square * square
-        return out
+            if not n:
+                return out
+            square = self.algebra.element(tuple(2 * e for e in m) for m in square.terms)
 
     def _check(self, other: "Element"):
         if self.algebra is not other.algebra:

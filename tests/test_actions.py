@@ -151,6 +151,13 @@ class TestApplyCandidate:
         with pytest.raises(PresentationError, match="needs 3 exponents >= 0"):
             apply_candidate(q13, cand, mono)
 
+    def test_rejects_element_of_another_presentation(self):
+        # the identity of Q(1, 3) would rewrite Q(2, 3)'s c^2 to x*c
+        q13, q23 = wall_presentation(1, 3), wall_presentation(2, 3)
+        cand = candidate(q13, x="x", c="c", d="d")
+        with pytest.raises(ValueError, match="different presentations"):
+            apply_candidate(q13, cand, q23.parse_element("c^2"))
+
 
 class TestRingEndomorphism:
     def test_x_to_c_violates_square_relation(self):
@@ -434,3 +441,17 @@ def test_golden_record_digest():
     assert len(rows) == 1148
     digest = hashlib.sha256("\n".join(map(repr, rows)).encode()).hexdigest()[:16]
     assert digest == "58df12286b032e87"
+
+
+def test_golden_record_digest_actions_grid():
+    # Every field of the 4,634 records of the benchmark's actions_grid pairs:
+    # m <= 5, odd n and top degree m + 2n + 1 <= 70, where powers such as
+    # T(d)^(n+1) reach n + 1 = 35.  The pairs are copied, not imported, so
+    # the tests do not depend on the benchmark.  A change that moves a record
+    # on purpose updates the pin and lists the moved records in CHANGES.md.
+    pairs = [(m, n) for m in range(6) for n in range(1, 70, 2) if m + 2 * n + 1 <= 70]
+    assert len(pairs) == 100
+    rows = list(record_rows(pairs))
+    assert len(rows) == 4634
+    digest = hashlib.sha256("\n".join(map(repr, rows)).encode()).hexdigest()[:16]
+    assert digest == "f55f2c654a9cf02e"

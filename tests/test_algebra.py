@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from orbitcoh.algebra import (
     AlgebraPresentation,
+    Element,
     PresentationError,
     base_presentation,
     dold_presentation,
@@ -336,8 +337,11 @@ class TestBuilders:
 
 
 @st.composite
-def wall_elements(draw, pres):
-    q = draw(st.integers(0, pres.top_degree))
+def wall_elements(draw, pres, q=None):
+    """An element of degree ``q`` of a finite presentation, or of a drawn
+    degree when ``q`` is None."""
+    if q is None:
+        q = draw(st.integers(0, pres.top_degree))
     basis = pres.degree_basis(q)
     if not basis:
         return pres.zero()
@@ -388,6 +392,42 @@ class TestPower:
         a = data.draw(wall_elements(pres))
         assert a ** k == left_power(a, k)
 
+    @given(st.one_of(st.builds(wall_presentation, st.integers(0, 5), st.integers(0, 9)),
+                     monomial_presentations()),
+           st.integers(1, 40), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_frobenius_square_matches_product(self, pres, k, data):
+        # __pow__ squares by doubling exponents; check it against the plain
+        # product, additivity over GF(2) and the edge exponents 0 and 1
+        q = data.draw(st.integers(0, pres.top_degree))
+        a, b = data.draw(wall_elements(pres, q)), data.draw(wall_elements(pres, q))
+        assert a ** 2 == a * a
+        assert (a + b) ** 2 == a ** 2 + b ** 2
+        assert a ** 1 == a
+        assert pres.zero() ** 0 == pres.unit()
+        assert pres.zero() ** k == pres.zero()
+
+    @pytest.mark.parametrize("n, products", [(31, 4), (32, 0), (33, 1)])
+    def test_product_count(self, monkeypatch, n, products):
+        # popcount(n) - 1 products, none with the unit as an operand
+        q = wall_presentation(5, 31)
+        t_d = q.parse_element("d + x*c + c^2")
+        expected = left_power(t_d, n)
+        unit = q.unit()
+        operands = []
+        plain_mul = Element.__mul__
+
+        def counting_mul(a, b):
+            operands.append((a, b))
+            return plain_mul(a, b)
+
+        monkeypatch.setattr(Element, "__mul__", counting_mul)
+        result = t_d ** n
+        monkeypatch.undo()
+        assert result == expected
+        assert len(operands) == bin(n).count("1") - 1 == products
+        assert all(unit not in pair for pair in operands)
+
     def test_rejects_negative_exponent(self):
         d = wall_presentation(1, 3).gen("d")
         with pytest.raises(ValueError, match="negative exponent -1"):
@@ -426,6 +466,12 @@ class TestValidation:
         q13 = wall_presentation(1, 3)
         with pytest.raises(ValueError):
             q13.gen("x") + q13.gen("d")
+
+    def test_to_vector_rejects_element_of_another_presentation(self):
+        # Q(2, 3)'s d would otherwise read as bit 1 of Q(1, 3)'s degree-2 basis
+        q13, q23 = wall_presentation(1, 3), wall_presentation(2, 3)
+        with pytest.raises(ValueError, match="different presentations"):
+            q13.to_vector(q23.gen("d"), 2)
 
 
 class TestTextFormat:
