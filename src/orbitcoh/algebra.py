@@ -12,6 +12,15 @@ generator earlier therefore makes it smaller; for the Wall presentation
 ``x`` precedes ``c`` precisely so that ``c^(m+1) -> c^m * x`` rewrites
 downward.  Every rule must strictly decrease this order, which makes
 rewriting terminate; confluence is *checked*, never assumed.
+
+Homogeneity is checked where outside input enters: every rule when the
+presentation is built, and the terms of an element made by
+``Element(algebra, terms)`` or ``AlgebraPresentation.element(monos)``.
+Arithmetic needs no check, because the rules are homogeneous: rewriting
+keeps a monomial's degree, so a product of elements of degrees i and j
+has degree i + j, a Frobenius square 2i, and a sum the common degree of
+its two summands.  Each element carries its degree, and arithmetic builds
+its results through ``_element`` with the degree worked out, not rescanned.
 """
 
 from __future__ import annotations
@@ -253,10 +262,10 @@ class AlgebraPresentation:
     # -- elements ------------------------------------------------------------
 
     def zero(self) -> "Element":
-        return Element(self, frozenset())
+        return _element(self, frozenset(), None)
 
     def unit(self) -> "Element":
-        return Element(self, frozenset([self.unit_mono()]))
+        return _element(self, frozenset([self.unit_mono()]), 0)
 
     def gen(self, name: str) -> "Element":
         if name not in self.gen_index:
@@ -270,20 +279,21 @@ class AlgebraPresentation:
         """Every nonzero element of degree ``q``, one per bit mask 1, 2, 3, ...
         over ``degree_basis(q)`` (bit i picks basis monomial i)."""
         basis = self.degree_basis(q)
-        return [Element(self, frozenset(m for i, m in enumerate(basis) if mask >> i & 1))
+        return [_element(self, frozenset(m for i, m in enumerate(basis) if mask >> i & 1), q)
                 for mask in range(1, 2 ** len(basis))]
 
     def to_vector(self, elem: "Element", q: int) -> int:
         """Bit mask of ``elem`` over ``degree_basis(q)``: bit i is basis monomial i.
 
-        Refuses an element of another presentation, like ``Element._check``."""
+        Refuses an element of another presentation, like ``Element._check``,
+        and a nonzero element of another degree."""
         if elem.algebra is not self:
             raise ValueError("elements belong to different presentations")
+        if elem.degree not in (None, q):
+            raise ValueError("element is not homogeneous of the requested degree")
         index = self.basis_index(q)
         vec = 0
         for m in elem.terms:
-            if self.mono_degree(m) != q:
-                raise ValueError("element is not homogeneous of the requested degree")
             vec |= 1 << index[m]
         return vec
 
@@ -317,9 +327,16 @@ class AlgebraPresentation:
 
 
 class Element:
-    """A GF(2) sum of normal-form monomials, homogeneous or zero."""
+    """A GF(2) sum of normal-form monomials, homogeneous or zero.
 
-    __slots__ = ("algebra", "terms")
+    ``degree`` is the common degree of the terms, None for zero.  The
+    constructor checks that the terms share it; arithmetic knows it in
+    advance (see the module docstring) and builds through ``_element``
+    without the check.  A sum of two nonzero elements of unequal degrees
+    is refused.
+    """
+
+    __slots__ = ("algebra", "terms", "degree")
 
     def __init__(self, algebra: AlgebraPresentation, terms: frozenset[Mono]):
         degrees = {algebra.mono_degree(m) for m in terms}
@@ -327,24 +344,25 @@ class Element:
             raise ValueError("element terms must share a single degree")
         self.algebra = algebra
         self.terms = terms
-
-    @property
-    def degree(self) -> int | None:
-        for m in self.terms:
-            return self.algebra.mono_degree(m)
-        return None
+        self.degree = degrees.pop() if degrees else None
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __add__(self, other: "Element") -> "Element":
         self._check(other)
-        return Element(self.algebra, self.terms ^ other.terms)
+        degree = self.degree if other.degree is None else other.degree
+        if self.degree not in (None, degree):
+            raise ValueError("element terms must share a single degree")
+        return _element(self.algebra, self.terms ^ other.terms, degree)
 
     def __mul__(self, other: "Element") -> "Element":
         self._check(other)
+        if not (self.terms and other.terms):
+            return self.algebra.zero()
         prods = [_mono_mul(a, b) for a in self.terms for b in other.terms]
-        return self.algebra.element(prods)
+        return _element(self.algebra, self.algebra.normal_form(prods),
+                        self.degree + other.degree)
 
     def __pow__(self, n: int) -> "Element":
         """``self`` to the ``n``-th power by square-and-multiply (Knuth,
@@ -376,7 +394,9 @@ class Element:
             n >>= 1
             if not n:
                 return out
-            square = self.algebra.element(tuple(2 * e for e in m) for m in square.terms)
+            if square:     # zero squares to itself
+                square = _element(self.algebra, self.algebra.normal_form(
+                    tuple(2 * e for e in m) for m in square.terms), 2 * square.degree)
 
     def _check(self, other: "Element"):
         if self.algebra is not other.algebra:
@@ -398,6 +418,15 @@ class Element:
 
     def __repr__(self):
         return f"Element({self})"
+
+
+def _element(algebra: AlgebraPresentation, terms: frozenset[Mono],
+             degree: int | None) -> Element:
+    """Arithmetic's constructor: ``terms`` are known to lie in ``degree``, so
+    ``Element.__init__``'s check is skipped.  Empty terms give degree None."""
+    elem = object.__new__(Element)
+    elem.algebra, elem.terms, elem.degree = algebra, terms, degree if terms else None
+    return elem
 
 
 # -- built-in presentations ---------------------------------------------------
@@ -483,12 +512,13 @@ def parse_presentation(text: str, name: str = "") -> AlgebraPresentation:
     skeleton = AlgebraPresentation(gen_lines, [], name=name)
     relations = []
     for lineno, lhs_text, rhs_text in rel_lines:
-        try:
+        try:    # a non-homogeneous sum raises a plain ValueError
             lhs = skeleton.parse_mono(lhs_text)
-            rhs_elem = skeleton.parse_element(rhs_text)
-        except PresentationError as exc:
+            rhs = skeleton.parse_element(rhs_text).terms
+            skeleton._validate_rule(lhs, rhs)
+        except ValueError as exc:
             raise PresentationError(f"line {lineno}: {exc}") from None
-        relations.append((lhs, rhs_elem.terms))
+        relations.append((lhs, rhs))
     return AlgebraPresentation(gen_lines, relations, name=name)
 
 

@@ -1,0 +1,101 @@
+"""The ``orbitcoh`` command line.
+
+``orbitcoh spectral --wall M N [--json]``
+    Every transgression case of the Borel spectral sequence with fiber
+    H*(Q(M, N)) and dim X = M + 2N + 1, the top degree: its case label,
+    differentials, outcome, reason and detail.  A case the engine refuses
+    (``SpectralModelError``) is listed with outcome ``error`` and its
+    message, and the exit status is then 1.
+
+``orbitcoh actions M N [--json]``
+    Every candidate involution of H*(Q(M, N)), N odd: its generator images,
+    status, the filter that eliminated it and the reason.  A survivor that
+    is neither the identity nor c -> c + x is marked undecided.
+
+Run it as ``orbitcoh`` once the package is installed, or as
+``python -m orbitcoh.cli`` with ``src`` on the module path.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+
+from . import actions, spectral
+from .algebra import wall_presentation
+
+
+def _spectral(m: int, n: int) -> dict:
+    fiber = wall_presentation(m, n)
+    dim_x = fiber.top_degree
+    cases = []
+    for assignment in spectral.enumerate_assignments(fiber):
+        try:
+            verdict = spectral.run_case(fiber, dim_x, assignment)
+            outcome, reason, detail = verdict.outcome, verdict.reason, verdict.detail
+        except spectral.SpectralModelError as exc:
+            outcome, reason, detail = "error", type(exc).__name__, str(exc)
+        cases.append({"case": assignment.case_id,
+                      "differentials": spectral.describe_differentials(assignment.choices) or None,
+                      "outcome": outcome, "reason": reason, "detail": detail})
+    return {"fiber": f"Q({m},{n})", "dim_x": dim_x, "cases": cases}
+
+
+def _actions(m: int, n: int) -> dict:
+    report = actions.classify_free_actions(m, n)
+    undecided = {id(r) for r in report.unresolved}
+    records = [{"images": {name: str(img) for name, img in r.candidate.images},
+                "status": r.status, "stage": r.stage, "reason": r.reason,
+                "undecided": id(r) in undecided,
+                "trivial_in_degrees_ge_2": r.trivial_in_degrees_ge_2}
+               for r in report.records]
+    return {"fiber": f"Q({m},{n})", "candidates": len(records),
+            "survivors": len(report.survivors()), "undecided": len(undecided),
+            "records": records}
+
+
+def _print_spectral(result: dict):
+    print(f"{result['fiber']}: {len(result['cases'])} cases, dim X = {result['dim_x']}")
+    for case in result["cases"]:
+        line = f"{case['case']}: {case['differentials'] or 'no differential'} -> {case['outcome']}"
+        if case["reason"]:
+            line += f" ({case['reason']}: {case['detail']})"
+        print(line)
+
+
+def _print_actions(result: dict):
+    print(f"{result['fiber']}: {result['candidates']} candidates, "
+          f"{result['survivors']} survive, {result['undecided']} undecided")
+    for rec in result["records"]:
+        images = ", ".join(f"{name} -> {img}" for name, img in rec["images"].items())
+        stage = f" at {rec['stage']}" if rec["stage"] else ""
+        mark = " [undecided]" if rec["undecided"] else ""
+        print(f"{images}: {rec['status']}{stage}{mark}: {rec['reason']}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(prog="orbitcoh", description=__doc__.split("\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    spec = sub.add_parser("spectral", help="transgression cases on a Wall fiber")
+    spec.add_argument("--wall", nargs=2, type=int, metavar=("M", "N"), required=True)
+    spec.add_argument("--json", action="store_true", help="print one JSON object")
+    act = sub.add_parser("actions", help="candidate involutions of H*(Q(M, N))")
+    act.add_argument("m", type=int, metavar="M")
+    act.add_argument("n", type=int, metavar="N")
+    act.add_argument("--json", action="store_true", help="print one JSON object")
+    args = parser.parse_args(argv)
+    try:
+        result = _spectral(*args.wall) if args.command == "spectral" else _actions(args.m, args.n)
+    except ValueError as exc:    # PresentationError too: bad M, N
+        parser.error(str(exc))
+    if args.json:
+        print(json.dumps(result))
+    elif args.command == "spectral":
+        _print_spectral(result)
+    else:
+        _print_actions(result)
+    return int(any(case["outcome"] == "error" for case in result.get("cases", ())))
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

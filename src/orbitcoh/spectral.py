@@ -195,6 +195,12 @@ def _generator_choices(fiber: AlgebraPresentation, gen) -> list[TransgressionTar
     return choices
 
 
+def describe_differentials(choices) -> str:
+    """``d<r>(<generator>)=<target>`` for each transgressing generator of
+    ``choices`` (``(name, target or None)`` pairs), joined by "; "."""
+    return "; ".join(f"d{t.page}({name})={t.render()}" for name, t in choices if t is not None)
+
+
 def enumerate_assignments(fiber: AlgebraPresentation) -> list[DifferentialAssignment]:
     """Every combination of per-generator differential choices.
 
@@ -209,10 +215,7 @@ def enumerate_assignments(fiber: AlgebraPresentation) -> list[DifferentialAssign
     assignments = []
     for combo in itertools.product(*pools):
         choices = tuple((g.name, tgt) for g, tgt in zip(fiber.generators, combo))
-        label = (wall.case_label(fiber, choices)
-                 or "; ".join(f"d{t.page}({name})={t.render()}"
-                              for name, t in choices if t is not None)
-                 or "Z")
+        label = wall.case_label(fiber, choices) or describe_differentials(choices) or "Z"
         assignments.append(DifferentialAssignment(fiber, choices, label))
     return assignments
 

@@ -434,6 +434,78 @@ class TestPower:
             d ** -1
 
 
+# x*c-twisted like Q(1, n) but with d unbounded: an infinite algebra with a
+# rule that is not monomial
+INFINITE_WALL = AlgebraPresentation([("x", 1), ("c", 1), ("d", 2)],
+                                    [((2, 0, 0), ()), ((0, 2, 0), [(1, 1, 0)])],
+                                    name="wall(1,inf)")
+
+
+class TestCarriedDegree:
+    """Arithmetic builds its results with the degree worked out and no
+    homogeneity check; each must equal what the checked constructor
+    ``Element(pres, terms)`` makes of the same terms."""
+
+    @staticmethod
+    def assert_checked(elem):
+        checked = Element(elem.algebra, elem.terms)
+        assert (elem.degree, elem.terms) == (checked.degree, checked.terms)
+
+    @given(st.one_of(st.builds(wall_presentation, st.integers(0, 5), st.integers(0, 9)),
+                     monomial_presentations(), st.just(INFINITE_WALL)),
+           st.integers(0, 40), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_arithmetic_matches_checked_constructor(self, pres, k, data):
+        top = 12 if pres.top_degree is None else pres.top_degree
+        q, r = data.draw(st.integers(0, top)), data.draw(st.integers(0, top))
+        a, b = data.draw(wall_elements(pres, q)), data.draw(wall_elements(pres, q))
+        c = data.draw(wall_elements(pres, r))
+        for result in (a * c, c * a, a ** 2, a ** 3, a ** k, a + b, a + pres.zero(),
+                       pres.zero() + a):
+            self.assert_checked(result)
+
+    def test_infinite_algebra_is_confluent(self):
+        assert INFINITE_WALL.top_degree is None
+        assert INFINITE_WALL.check_confluence() is None
+
+    def test_constant_degrees(self):
+        q13 = wall_presentation(1, 3)
+        assert q13.zero().degree is None
+        assert q13.unit().degree == 0
+        for q in range(q13.top_degree + 2):
+            assert {e.degree for e in q13.nonzero_elements(q)} <= {q}
+
+    def test_zero_factor_skips_normal_form(self, monkeypatch):
+        q13 = wall_presentation(1, 3)
+        d = q13.gen("d")
+
+        def refuse(monos):
+            raise AssertionError("normal_form called on a product with a zero factor")
+
+        monkeypatch.setattr(q13, "normal_form", refuse)
+        for product in (d * q13.zero(), q13.zero() * d, q13.zero() * q13.zero()):
+            assert not product and product.degree is None
+
+    def test_sum_of_unequal_degrees_raises(self):
+        q13 = wall_presentation(1, 3)
+        with pytest.raises(ValueError, match="must share a single degree"):
+            q13.gen("x") + q13.gen("d")
+        with pytest.raises(ValueError, match="must share a single degree"):
+            q13.unit() + q13.gen("x")
+
+    def test_to_vector_rejects_wrong_degree(self):
+        q13 = wall_presentation(1, 3)
+        with pytest.raises(ValueError, match="not homogeneous of the requested degree"):
+            q13.to_vector(q13.gen("d"), 1)
+        with pytest.raises(ValueError, match="not homogeneous of the requested degree"):
+            q13.to_vector(q13.unit(), 2)
+
+    def test_to_vector_of_zero(self):
+        q13 = wall_presentation(1, 3)
+        assert all(q13.to_vector(q13.zero(), q) == 0
+                   for q in range(-1, q13.top_degree + 3))
+
+
 class TestValidation:
     def test_rejects_duplicate_names(self):
         with pytest.raises(PresentationError):
@@ -503,3 +575,14 @@ class TestTextFormat:
         text = "# cohomology of a circle\n\ngen a 1\nrel a^2 = 0\n"
         pres = parse_presentation(text)
         assert pres.poincare_series(1) == [1, 1]
+
+    def test_parse_non_homogeneous_rhs_names_its_line(self):
+        text = "gen a 1\ngen b 2\nrel a^3 = a*b + b^2\n"
+        with pytest.raises(PresentationError, match="^line 3: "):
+            parse_presentation(text)
+
+    @pytest.mark.parametrize("rel", ["b^2 = a^5", "a^4 = b^2"])
+    def test_parse_invalid_rule_names_its_line(self, rel):
+        # a^5 is of another degree than b^2; a^4 -> b^2 raises the order
+        with pytest.raises(PresentationError, match="^line 4: rule"):
+            parse_presentation(f"gen a 1\ngen b 2\n# a comment\nrel {rel}\n")

@@ -1,0 +1,85 @@
+"""The ``orbitcoh`` command line, run in a subprocess as a user runs it."""
+
+import json
+import os
+import subprocess
+import sys
+
+from orbitcoh import actions, spectral
+from orbitcoh.algebra import wall_presentation
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def orbitcoh(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-m", "orbitcoh.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_actions_text_marks_the_undecided_survivors():
+    run = orbitcoh("actions", "1", "3")
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0] == "Q(1,3): 27 candidates, 4 survive, 2 undecided"
+    assert len(lines) == 1 + 27
+    undecided = [line for line in lines if "[undecided]" in line]
+    assert len(undecided) == 2
+    assert all(": survives [undecided]: " in line for line in undecided)
+    assert "x -> x, c -> c, d -> d: survives: " in run.stdout
+
+
+def test_actions_json_matches_the_library():
+    run = orbitcoh("actions", "2", "3", "--json")
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    report = actions.classify_free_actions(2, 3)
+    assert out["candidates"] == len(report.records)
+    assert [(r["status"], r["stage"], r["reason"]) for r in out["records"]] == [
+        (r.status, r.stage, r.reason) for r in report.records]
+    assert [r["images"] for r in out["records"]] == [
+        {name: str(img) for name, img in r.candidate.images} for r in report.records]
+    assert out["undecided"] == sum(r["undecided"] for r in out["records"]) == len(report.unresolved)
+    assert out["survivors"] == len(report.survivors())
+
+
+def test_spectral_json_matches_the_library():
+    run = orbitcoh("spectral", "--wall", "1", "3", "--json")
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    fiber = wall_presentation(1, 3)
+    verdicts = spectral.analyze_all(fiber, fiber.top_degree)
+    assert out["dim_x"] == 8
+    assert [(c["case"], c["outcome"], c["reason"], c["detail"]) for c in out["cases"]] == [
+        (v.case_id, v.outcome, v.reason, v.detail) for v in verdicts]
+    assert [c["case"] for c in out["cases"] if c["outcome"] == "survives"] == ["A"]
+    assert {c["case"]: c["differentials"] for c in out["cases"]}["A"] == "d3(d)=t^3"
+
+
+def test_spectral_text_lists_every_case():
+    run = orbitcoh("spectral", "--wall", "1", "3")
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0] == "Q(1,3): 20 cases, dim X = 8"
+    assert "A: d3(d)=t^3 -> survives" in lines
+    assert "Z: no differential -> eliminated (vanishing_violation: " \
+           "nonzero classes in every degree 9..16)" in lines
+
+
+def test_spectral_reports_a_refused_case_and_exits_1():
+    # Q(m even, n odd) raises on case D4 until ROADMAP Open item 1 is done;
+    # the command lists the refusal instead of dying on it
+    run = orbitcoh("spectral", "--wall", "2", "3", "--json")
+    out = json.loads(run.stdout)
+    refused = [c for c in out["cases"] if c["outcome"] == "error"]
+    assert run.returncode == (1 if refused else 0)
+    assert all(c["reason"] == "SpectralModelError" for c in refused)
+    assert "Traceback" not in run.stderr
+
+
+def test_bad_arguments_exit_2():
+    for args in (("actions", "1", "2"), ("spectral", "--wall", "-1", "3"), ()):
+        run = orbitcoh(*args)
+        assert run.returncode == 2
+        assert run.stderr.startswith("usage: orbitcoh")
