@@ -5,7 +5,13 @@
     H*(Q(M, N)) and dim X = M + 2N + 1, the top degree: its case label,
     differentials, outcome, reason and detail.  A case the engine refuses
     (``SpectralModelError``) is listed with outcome ``error`` and its
-    message, and the exit status is then 1.
+    message, and the exit status is then 1.  With ``--json`` each case
+    also carries the fields of the guard that eliminated it
+    (``spectral.GuardFinding``), null where the guard has none and all null
+    for a survivor or a refusal: ``guard`` (``leibniz``, ``square_zero`` or
+    ``vanishing``), ``page``, ``bidegree`` ([p, q]), ``relation`` (text,
+    ``lhs = rhs``), ``values`` (the two sides' values as text, without the
+    ``t^r`` factor) and ``degrees`` (the nonzero total degrees above dim X).
 
 ``orbitcoh actions M N [--json]``
     Every candidate involution of H*(Q(M, N)), N odd: its generator images,
@@ -13,16 +19,30 @@
     is neither the identity nor c -> c + x is marked undecided.
 
 Run it as ``orbitcoh`` once the package is installed, or as
-``python -m orbitcoh.cli`` with ``src`` on the module path.
+``python -m orbitcoh.cli`` with ``src`` on the module path.  A reader that
+closes the pipe early (``orbitcoh actions 5 31 | head -n 1``) ends the
+output, with nothing on stderr; see ``main`` for the exit status.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import sys
 
 from . import actions, spectral
 from .algebra import wall_presentation
+
+
+def _finding_fields(finding: spectral.GuardFinding | None) -> dict:
+    """The finding's JSON keys: null where absent, relation and values as text."""
+    if finding is None:
+        return dict.fromkeys(("guard", "page", "bidegree", "relation", "values", "degrees"))
+    return {"guard": finding.guard, "page": finding.page, "bidegree": finding.bidegree,
+            "relation": finding.relation and finding.relation_text(),
+            "values": finding.values and finding.value_texts(),
+            "degrees": finding.degrees}
 
 
 def _spectral(m: int, n: int) -> dict:
@@ -33,11 +53,13 @@ def _spectral(m: int, n: int) -> dict:
         try:
             verdict = spectral.run_case(fiber, dim_x, assignment)
             outcome, reason, detail = verdict.outcome, verdict.reason, verdict.detail
+            finding = verdict.finding
         except spectral.SpectralModelError as exc:
-            outcome, reason, detail = "error", type(exc).__name__, str(exc)
+            outcome, reason, detail, finding = "error", type(exc).__name__, str(exc), None
         cases.append({"case": assignment.case_id,
                       "differentials": spectral.describe_differentials(assignment.choices) or None,
-                      "outcome": outcome, "reason": reason, "detail": detail})
+                      "outcome": outcome, "reason": reason, "detail": detail,
+                      **_finding_fields(finding)})
     return {"fiber": f"Q({m},{n})", "dim_x": dim_x, "cases": cases}
 
 
@@ -74,6 +96,9 @@ def _print_actions(result: dict):
 
 
 def main(argv=None) -> int:
+    """Run one command; the exit status is 0, or 1 if ``spectral`` lists a
+    refused case, or 2 for bad arguments (from ``argparse``).  A reader that
+    closes stdout early does not change it."""
     parser = argparse.ArgumentParser(prog="orbitcoh", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     spec = sub.add_parser("spectral", help="transgression cases on a Wall fiber")
@@ -88,12 +113,18 @@ def main(argv=None) -> int:
         result = _spectral(*args.wall) if args.command == "spectral" else _actions(args.m, args.n)
     except ValueError as exc:    # PresentationError too: bad M, N
         parser.error(str(exc))
-    if args.json:
-        print(json.dumps(result))
-    elif args.command == "spectral":
-        _print_spectral(result)
-    else:
-        _print_actions(result)
+    try:
+        if args.json:
+            print(json.dumps(result))
+        elif args.command == "spectral":
+            _print_spectral(result)
+        else:
+            _print_actions(result)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has closed the pipe: that is the end of the output; point
+        # stdout at devnull so the flush at exit does not fail on it again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return int(any(case["outcome"] == "error" for case in result.get("cases", ())))
 
 

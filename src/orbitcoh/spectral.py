@@ -18,7 +18,13 @@ reduces to zero modulo the target's boundaries.  They cost one elimination
 per moving cell, of the pairs (reduced image, cycle) together, which reads
 the kernel directly in E_2 coordinates.  Three guards are
 *checked*, never assumed: compatibility of the derivation with every fiber
-relation, square zero, and representative independence.
+relation, square zero, and representative independence.  The first two,
+and the vanishing bound that ``run_case`` applies to the limit page, record
+why a case dies as a ``GuardFinding``: the guard (``leibniz``,
+``square_zero`` or ``vanishing``), the page, the bidegree, the violated
+relation, the two values of d_r on its sides and the violating degrees,
+whichever apply.  Its text, a verdict's ``detail``, is rendered only when
+someone reads it.
 
 Only what d_r moves is recomputed, since E_{r+1} equals E_r where d_r is
 zero: after a page on which no generator transgresses, the next page shares
@@ -45,16 +51,36 @@ from dataclasses import dataclass
 from operator import add
 
 from . import gf2, wall
-from .algebra import AlgebraPresentation, Element, Mono
+from .algebra import AlgebraPresentation, Element, Mono, RewriteRule
 
 
 class LeibnizInconsistency(Exception):
-    """A differential assignment contradicts the fiber's ring relations."""
+    """A differential assignment contradicts the fiber's ring relations.
 
-    def __init__(self, page: int, description: str):
-        super().__init__(f"page {page}: {description}")
-        self.page = page
-        self.description = description
+    The relation and square-zero guards raise it with a ``GuardFinding``,
+    kept as ``finding``, whose page is ``page``.  ``str(exc)`` reads
+    ``page r: <description>``; ``description`` is rendered from the finding
+    on first access, so a caller that keeps only the finding formats
+    nothing.  ``LeibnizInconsistency(page, description)`` takes the text as
+    given and has no finding.
+    """
+
+    def __init__(self, page: int | GuardFinding, description: str | None = None):
+        super().__init__(page, description)
+        if isinstance(page, GuardFinding):
+            self.finding, self.page = page, page.page
+        else:
+            self.finding, self.page = None, page
+        self._description = description
+
+    @property
+    def description(self) -> str:
+        if self._description is None:
+            self._description = self.finding._describe()
+        return self._description
+
+    def __str__(self) -> str:
+        return f"page {self.page}: {self.description}"
 
 
 class SpectralModelError(RuntimeError):
@@ -151,16 +177,89 @@ class Page:
 
 
 @dataclass(frozen=True)
+class GuardFinding:
+    """What a guard saw when it eliminated a case, as data.
+
+    ``guard`` names the guard: ``"leibniz"`` (d_r sends the two sides of a
+    fiber relation to different values), ``"square_zero"`` (d_r twice is not
+    zero on a class) or ``"vanishing"`` (the limit page is nonzero above
+    dim X).  The fields a guard does not fill are None:
+
+    - ``page``: the page r, for leibniz and square_zero;
+    - ``bidegree``: the (p, q) of the class d_r twice does not kill, for
+      square_zero;
+    - ``relation``: the violated ``RewriteRule``, for leibniz;
+    - ``values``: the term sets of d_r on the relation's two sides, for
+      leibniz (the fiber component; the ``t^r`` factor is implicit);
+    - ``degrees``: the total degrees above dim X where the limit page is
+      nonzero, up to where the totals turn constant, for vanishing.
+
+    ``fiber`` and, for vanishing, ``dim_x`` are what ``render`` reads to
+    print terms and ranges.  Nothing is formatted until ``render`` is called.
+    """
+
+    guard: str
+    fiber: AlgebraPresentation
+    page: int | None = None
+    bidegree: tuple[int, int] | None = None
+    relation: RewriteRule | None = None
+    values: tuple[frozenset[Mono], frozenset[Mono]] | None = None
+    degrees: tuple[int, ...] | None = None
+    dim_x: int | None = None
+
+    def relation_text(self) -> str:
+        """The violated relation, ``lhs = rhs``."""
+        rule = self.relation
+        return f"{self.fiber.mono_str(rule.lhs)} = {Element(self.fiber, rule.rhs)}"
+
+    def value_texts(self) -> tuple[str, str]:
+        """The two values of d_r on the relation's sides, without ``t^r``."""
+        return tuple(str(Element(self.fiber, terms)) for terms in self.values)
+
+    def render(self) -> str:
+        """The verdict's ``detail`` text; the page guards prefix ``page r: ``."""
+        body = self._describe()
+        return body if self.page is None else f"page {self.page}: {body}"
+
+    def _describe(self) -> str:
+        if self.guard == "leibniz":
+            r = self.page
+            lhs, rhs = self.value_texts()
+            return (f"relation {self.relation_text()} is violated: "
+                    f"the differential sends the two sides to t^{r}*({lhs}) "
+                    f"and t^{r}*({rhs})")
+        if self.guard == "square_zero":
+            p, q = self.bidegree
+            return f"the differential does not square to zero at ({p},{q})"
+        dim_x, top = self.dim_x, self.fiber.top_degree
+        if self.degrees == tuple(range(dim_x + 1, dim_x + top + 1)):
+            return f"nonzero classes in every degree {dim_x + 1}..{dim_x + top}"
+        return f"nonzero classes in degrees {list(self.degrees)}"
+
+
+@dataclass(frozen=True)
 class CaseVerdict:
+    """The outcome of one assignment.
+
+    An eliminated case keeps the ``GuardFinding`` that eliminated it, not
+    the exception, whose traceback would keep the run's frames and pages
+    alive; a survivor has no finding and keeps its E_infinity page.
+    ``detail`` renders the finding's text each time it is read.
+    """
+
     assignment: DifferentialAssignment
     outcome: str                 # "survives" | "eliminated"
     reason: str | None           # "leibniz_inconsistent" | "vanishing_violation"
-    detail: str | None
+    finding: GuardFinding | None
     e_infinity: Page | None
 
     @property
     def case_id(self) -> str:
         return self.assignment.case_id
+
+    @property
+    def detail(self) -> str | None:
+        return None if self.finding is None else self.finding.render()
 
 
 # E_2's cells by fiber, built once and shared by every run on that fiber.  The
@@ -290,8 +389,8 @@ def extend_by_leibniz(page: Page, assignment: DifferentialAssignment) -> PageDif
     """Derivation matrices for the current page, with the relation guard.
 
     For every fiber rewrite rule the two Leibniz evaluations of its sides
-    must agree; a mismatch is raised as ``LeibnizInconsistency`` and names
-    the violated relation together with the two disagreeing values.
+    must agree; a mismatch is raised as ``LeibnizInconsistency`` whose
+    finding holds the violated relation and the two disagreeing term sets.
 
     Before the guard, every target must lie in fiber degree
     ``deg(g) + 1 - r``; a hand-built target of another degree is refused
@@ -321,14 +420,9 @@ def extend_by_leibniz(page: Page, assignment: DifferentialAssignment) -> PageDif
         for mono in rule.rhs:
             rhs_terms ^= _leibniz_terms(fiber, active, mono)
         if lhs_terms != rhs_terms:
-            lhs_val = Element(fiber, frozenset(lhs_terms))
-            rhs_val = Element(fiber, frozenset(rhs_terms))
-            rhs_elem = Element(fiber, rule.rhs)
-            raise LeibnizInconsistency(
-                r,
-                f"relation {fiber.mono_str(rule.lhs)} = {rhs_elem} is violated: "
-                f"the differential sends the two sides to t^{r}*({lhs_val}) "
-                f"and t^{r}*({rhs_val})")
+            raise LeibnizInconsistency(GuardFinding(
+                "leibniz", fiber, page=r, relation=rule,
+                values=(frozenset(lhs_terms), frozenset(rhs_terms))))
     _check_targets_alive(page, active)
     # below row r - 1 the target degree q + 1 - r is negative, so no row moves
     rows = {q: _derivation_matrix(fiber, active, q)
@@ -408,8 +502,8 @@ def turn_page(page: Page, diff: PageDifferential) -> Page:
                             f"differential image at ({p},{q}) is not a cycle on page {r}")
                     second = square and gf2.combine(raw, square)
                     if second and not (cell2 is not None and cell2.boundaries.contains(second)):
-                        raise LeibnizInconsistency(
-                            r, f"the differential does not square to zero at ({p},{q})")
+                        raise LeibnizInconsistency(GuardFinding(
+                            "square_zero", page.fiber, page=r, bidegree=pos))
                     nonzero.append(raw)
                     raw = tgt_boundaries.reduce(raw)
                 reduced.append(raw)
@@ -476,7 +570,7 @@ def pages(fiber: AlgebraPresentation, assignment: DifferentialAssignment):
 
 def run_case(fiber: AlgebraPresentation, dim_x: int,
              assignment: DifferentialAssignment) -> CaseVerdict:
-    """Drive one assignment to its limit page and render a verdict.
+    """Drive one assignment to its limit page and return its verdict.
 
     A surviving case must satisfy the free-action vanishing bound: the total
     complex is zero in every degree above ``dim_x``.  The totals are constant
@@ -488,18 +582,15 @@ def run_case(fiber: AlgebraPresentation, dim_x: int,
             pass
     except LeibnizInconsistency as exc:
         return CaseVerdict(assignment, "eliminated", "leibniz_inconsistent",
-                           str(exc), None)
+                           exc.finding, None)
     top = fiber.top_degree
     last = max(dim_x + 1, dim_x + top, page.stable + top)
     totals = page.total_dimensions(last)
     violations = [j for j in range(max(dim_x + 1, 0), last + 1) if totals[j] > 0]
     if not violations:
         return CaseVerdict(assignment, "survives", None, None, page)
-    if violations == list(range(dim_x + 1, dim_x + top + 1)):
-        detail = f"nonzero classes in every degree {dim_x + 1}..{dim_x + top}"
-    else:
-        detail = f"nonzero classes in degrees {violations}"
-    return CaseVerdict(assignment, "eliminated", "vanishing_violation", detail, None)
+    finding = GuardFinding("vanishing", fiber, degrees=tuple(violations), dim_x=dim_x)
+    return CaseVerdict(assignment, "eliminated", "vanishing_violation", finding, None)
 
 
 def analyze_all(fiber: AlgebraPresentation, dim_x: int) -> list[CaseVerdict]:

@@ -1,5 +1,6 @@
 """The ``orbitcoh`` command line, run in a subprocess as a user runs it."""
 
+import fcntl
 import json
 import os
 import subprocess
@@ -11,11 +12,15 @@ from orbitcoh.algebra import wall_presentation
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def orbitcoh(*args):
+def cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def orbitcoh(*args):
     return subprocess.run([sys.executable, "-m", "orbitcoh.cli", *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=cli_env(), timeout=120)
 
 
 def test_actions_text_marks_the_undecided_survivors():
@@ -55,6 +60,47 @@ def test_spectral_json_matches_the_library():
         (v.case_id, v.outcome, v.reason, v.detail) for v in verdicts]
     assert [c["case"] for c in out["cases"] if c["outcome"] == "survives"] == ["A"]
     assert {c["case"]: c["differentials"] for c in out["cases"]}["A"] == "d3(d)=t^3"
+    # the guard finding's fields
+    keys = ("guard", "page", "bidegree", "relation", "values", "degrees")
+    for case, verdict in zip(out["cases"], verdicts):
+        found = verdict.finding
+        if found is None:
+            assert [case[k] for k in keys] == [None] * 6
+            continue
+        assert (case["guard"], case["page"]) == (found.guard, found.page)
+        assert case["bidegree"] == (found.bidegree and list(found.bidegree))
+        assert case["degrees"] == (found.degrees and list(found.degrees))
+        if found.guard == "leibniz":
+            # the relation and both values appear in the detail text as well
+            assert f"relation {case['relation']} is violated" in case["detail"]
+            assert case["detail"].endswith("t^{0}*({1}) and t^{0}*({2})".format(
+                case["page"], *case["values"]))
+        else:
+            assert case["relation"] is case["values"] is None
+    assert {c["guard"] for c in out["cases"]} == {"leibniz", "vanishing", None}
+
+
+def test_a_reader_that_closes_early_ends_the_output_quietly():
+    # A 4 KiB pipe holds less than the 6 KB listing, so the writer is still
+    # blocked on it when the reader closes after the first line.
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen([sys.executable, "-m", "orbitcoh.cli", "actions", "5", "31"],
+                            stdout=write_end, stderr=subprocess.PIPE, env=cli_env())
+    os.close(write_end)
+    first = b""
+    try:
+        while not first.endswith(b"\n"):
+            byte = os.read(read_end, 1)
+            if not byte:
+                break
+            first += byte
+    finally:
+        os.close(read_end)
+    _, err = proc.communicate(timeout=120)
+    assert first == b"Q(5,31): 63 candidates, 8 survive, 6 undecided\n"
+    assert err == b""
+    assert proc.returncode == 0
 
 
 def test_spectral_text_lists_every_case():

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import itertools
+import types
 import weakref
 
 import pytest
@@ -826,6 +827,79 @@ def test_golden_verdict_digest():
     assert len(rows) == 1232
     digest = hashlib.sha256("\n".join(map(repr, rows)).encode()).hexdigest()[:16]
     assert digest == "d85b2cf0800516e5"
+
+
+def decided_verdicts(fibers):
+    """``(fiber, verdict)`` for every assignment ``run_case`` decides, dim_x
+    the top degree; the refused ones are pinned by the golden digest."""
+    for fiber in fibers:
+        for asgn in enumerate_assignments(fiber):
+            try:
+                yield fiber, run_case(fiber, fiber.top_degree, asgn)
+            except SpectralModelError:
+                pass
+
+
+class TestGuardFindings:
+    def test_fields_match_independent_computations(self):
+        guards = set()
+        for fiber, verdict in decided_verdicts(golden_fibers()):
+            found, asgn = verdict.finding, verdict.assignment
+            if verdict.outcome == "survives":
+                assert found is None and verdict.detail is None
+                continue
+            guards.add(found.guard)
+            assert found.fiber is fiber
+            assert verdict.reason == ("vanishing_violation" if found.guard == "vanishing"
+                                      else "leibniz_inconsistent")
+            if found.guard == "leibniz":
+                r, rule = found.page, found.relation
+                active = asgn.active_at(r)
+                rhs = fiber.zero()
+                for mono in rule.rhs:
+                    rhs = rhs + differential_value(fiber, active, mono)
+                assert rule in fiber.rules
+                assert found.values == (differential_value(fiber, active, rule.lhs).terms,
+                                        rhs.terms)
+                assert verdict.detail == guard_message(
+                    lambda: relation_guard_by_elements(fiber, r, active))
+            elif found.guard == "vanishing":
+                *_, last = pages(fiber, asgn)
+                dim_x = top = fiber.top_degree
+                end = max(dim_x + 1, dim_x + top, last.stable + top)
+                assert found.degrees == tuple(j for j in range(dim_x + 1, end + 1)
+                                              if last.total_dimension(j))
+            else:
+                assert found.guard == "square_zero"
+                seen = []
+                with pytest.raises(LeibnizInconsistency):
+                    seen.extend(pages(fiber, asgn))
+                assert seen[-1].r == found.page
+                assert found.bidegree in seen[-1].cells
+        assert guards == {"leibniz", "square_zero", "vanishing"}
+
+    def test_verdicts_hold_no_exception_and_read_detail_purely(self):
+        fiber = wall_presentation(5, 9)
+        verdicts = analyze_all(fiber, 24)
+        fresh = analyze_all(fiber, 24)
+        assert {v.finding.guard for v in verdicts if v.finding} == {"leibniz", "vanishing"}
+        # everything a verdict refers to, short of classes, modules and code
+        skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType,
+                types.CodeType)
+        seen, stack = set(), list(verdicts)
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, skip):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, (BaseException, types.TracebackType, types.FrameType))
+            stack.extend(gc.get_referents(obj))
+        for verdict, again in zip(verdicts, fresh):
+            first = verdict.detail
+            assert verdict.detail == first == again.detail
+            assert verdict == again
+            if verdict.finding is not None:
+                assert hash(verdict.finding) == hash(again.finding)
 
 
 def _check_square_zero(page, diff, p, q, raw):
