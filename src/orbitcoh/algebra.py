@@ -32,7 +32,8 @@ from operator import mul
 
 Mono = tuple[int, ...]
 
-_FACTOR_RE = re.compile(r"([^\W\d]\w*)(?:\^(\d+))?$", re.UNICODE)
+_NAME_RE = re.compile(r"[^\W\d]\w*")     # a generator name, as monomials spell it
+_FACTOR_RE = re.compile(rf"({_NAME_RE.pattern})(?:\^(\d+))?$", re.UNICODE)
 
 
 class PresentationError(ValueError):
@@ -498,10 +499,19 @@ def parse_presentation(text: str, name: str = "") -> AlgebraPresentation:
             parts = line.split()
             if len(parts) != 3:
                 raise PresentationError(f"line {lineno}: expected 'gen <name> <degree>'")
+            gname = parts[1]
             try:
-                gen_lines.append((parts[1], int(parts[2])))
+                degree = int(parts[2])
             except ValueError:
                 raise PresentationError(f"line {lineno}: bad degree {parts[2]!r}") from None
+            if not _NAME_RE.fullmatch(gname):
+                raise PresentationError(f"line {lineno}: bad generator name {gname!r}")
+            if any(gname == seen for seen, _ in gen_lines):
+                raise PresentationError(f"line {lineno}: generator {gname} is declared twice")
+            if degree < 1:
+                raise PresentationError(
+                    f"line {lineno}: generator {gname} must have degree >= 1")
+            gen_lines.append((gname, degree))
         elif fields[0] == "rel":
             if len(fields) != 2 or "=" not in fields[1]:
                 raise PresentationError(f"line {lineno}: expected 'rel <monomial> = <polynomial>'")

@@ -4,13 +4,14 @@ A vector is a Python ``int`` with bit j as coordinate j, so a vector of
 GF(2)^n is an int below ``2**n`` and addition is XOR.  A linear map is the
 list of the images of its basis vectors: its columns, as ints.
 
-``rref`` brings a span to reduced row echelon form (RREF) with the pivot
-of each row at its lowest set bit.  RREF is unique per subspace, so every
-derived basis (kernels, images, coset representatives) is reproducible
-between runs.  ``kernel_vectors`` is the one elimination that records how
-each row was formed; ``kernel_basis`` and ``solve`` read their answers
-from it.  All dimensions here are a few dozen at most, so plain
-elimination on word-packed vectors suffices.
+``rref`` brings a span to reduced row echelon form (RREF): a row's pivot
+is its lowest set bit, and no other row has that bit set.  RREF is unique
+per subspace, so a ``Subspace`` is its RREF rows and nothing else, and
+every derived basis (kernels, images, coset representatives) is
+reproducible between runs.  ``kernel_vectors`` is the one elimination
+that records how each row was formed; ``kernel_basis`` and ``solve`` read
+their answers from it.  All dimensions here are a few dozen at most, so
+plain elimination on word-packed vectors suffices.
 """
 
 from __future__ import annotations
@@ -18,13 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-def rref(vectors) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form of the span of ``vectors``.
-
-    Returns ``(rows, pivots)``: the nonzero RREF rows by increasing pivot,
-    each fully reduced (no other row has its pivot bit set), and the pivot
-    coordinates in the same order.
-    """
+def rref(vectors) -> list[int]:
+    """Reduced row echelon form of the span of ``vectors``: the nonzero rows
+    by increasing pivot, each fully reduced (no other row has its pivot bit
+    set)."""
     echelon: list[list[int]] = []     # [pivot bit, row]
     for v in vectors:
         for pivot, row in echelon:
@@ -37,13 +35,12 @@ def rref(vectors) -> tuple[list[int], list[int]]:
                     entry[1] ^= v
             echelon.append([pivot, v])
     echelon.sort()
-    return ([row for _, row in echelon],
-            [pivot.bit_length() - 1 for pivot, _ in echelon])
+    return [row for _, row in echelon]
 
 
 def rank(vectors) -> int:
     """Dimension of the span of ``vectors``; the rank of a map given by its columns."""
-    return len(rref(vectors)[0])
+    return len(rref(vectors))
 
 
 def combine(coeffs: int, vectors) -> int:
@@ -61,42 +58,40 @@ def combine(coeffs: int, vectors) -> int:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of GF(2)^n, stored as its RREF basis.
+    """A subspace of GF(2)^n: its RREF rows, and nothing else.
 
-    The RREF basis is unique for a given subspace, so equal spans compare
-    and hash equal and every function returning a ``Subspace`` is
-    deterministic.
+    A row's pivot is its lowest set bit.  The RREF basis is unique for a
+    given subspace, so equal spans compare and hash equal and every
+    function returning a ``Subspace`` is deterministic.
     """
 
     ambient_dim: int
     basis: tuple[int, ...]      # RREF rows, by increasing pivot
-    pivots: tuple[int, ...]
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, (), ())
+        return cls(ambient_dim, ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, tuple(1 << j for j in range(ambient_dim)),
-                   tuple(range(ambient_dim)))
+        return cls(ambient_dim, tuple(1 << j for j in range(ambient_dim)))
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim: int) -> "Subspace":
         vectors = list(vectors)
         if any(v >> ambient_dim for v in vectors):
             raise ValueError("vector does not fit the ambient dimension")
-        rows, pivots = rref(vectors)
-        return cls(ambient_dim, tuple(rows), tuple(pivots))
+        return cls(ambient_dim, tuple(rref(vectors)))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def reduce(self, v: int) -> int:
-        """Canonical representative of ``v`` modulo this subspace."""
-        for row, col in zip(self.basis, self.pivots):
-            if v >> col & 1:
+        """Canonical representative of ``v`` modulo this subspace: zero on
+        every row's pivot bit."""
+        for row in self.basis:
+            if v & row & -row:
                 v ^= row
         return v
 

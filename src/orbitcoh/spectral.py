@@ -24,7 +24,8 @@ why a case dies as a ``GuardFinding``: the guard (``leibniz``,
 ``square_zero`` or ``vanishing``), the page, the bidegree, the violated
 relation, the two values of d_r on its sides and the violating degrees,
 whichever apply.  Its text, a verdict's ``detail``, is rendered only when
-someone reads it.
+someone reads it.  A ``LeibnizInconsistency`` is its finding and nothing
+more: its text is the finding's.
 
 Only what d_r moves is recomputed, since E_{r+1} equals E_r where d_r is
 zero: after a page on which no generator transgresses, the next page shares
@@ -57,30 +58,19 @@ from .algebra import AlgebraPresentation, Element, Mono, RewriteRule
 class LeibnizInconsistency(Exception):
     """A differential assignment contradicts the fiber's ring relations.
 
-    The relation and square-zero guards raise it with a ``GuardFinding``,
-    kept as ``finding``, whose page is ``page``.  ``str(exc)`` reads
-    ``page r: <description>``; ``description`` is rendered from the finding
-    on first access, so a caller that keeps only the finding formats
-    nothing.  ``LeibnizInconsistency(page, description)`` takes the text as
-    given and has no finding.
+    The exception is its finding: the relation and square-zero guards raise
+    it with the ``GuardFinding`` of what they saw, kept as ``finding``, and
+    it stores nothing else.  ``str(exc)`` is ``finding.render()``, formatted
+    only when asked for, so a caller that keeps only the finding formats
+    nothing.
     """
 
-    def __init__(self, page: int | GuardFinding, description: str | None = None):
-        super().__init__(page, description)
-        if isinstance(page, GuardFinding):
-            self.finding, self.page = page, page.page
-        else:
-            self.finding, self.page = None, page
-        self._description = description
-
-    @property
-    def description(self) -> str:
-        if self._description is None:
-            self._description = self.finding._describe()
-        return self._description
+    def __init__(self, finding: GuardFinding):
+        super().__init__(finding)
+        self.finding = finding
 
     def __str__(self) -> str:
-        return f"page {self.page}: {self.description}"
+        return self.finding.render()
 
 
 class SpectralModelError(RuntimeError):
@@ -218,19 +208,15 @@ class GuardFinding:
 
     def render(self) -> str:
         """The verdict's ``detail`` text; the page guards prefix ``page r: ``."""
-        body = self._describe()
-        return body if self.page is None else f"page {self.page}: {body}"
-
-    def _describe(self) -> str:
+        r = self.page
         if self.guard == "leibniz":
-            r = self.page
             lhs, rhs = self.value_texts()
-            return (f"relation {self.relation_text()} is violated: "
+            return (f"page {r}: relation {self.relation_text()} is violated: "
                     f"the differential sends the two sides to t^{r}*({lhs}) "
                     f"and t^{r}*({rhs})")
         if self.guard == "square_zero":
             p, q = self.bidegree
-            return f"the differential does not square to zero at ({p},{q})"
+            return f"page {r}: the differential does not square to zero at ({p},{q})"
         dim_x, top = self.dim_x, self.fiber.top_degree
         if self.degrees == tuple(range(dim_x + 1, dim_x + top + 1)):
             return f"nonzero classes in every degree {dim_x + 1}..{dim_x + top}"

@@ -1,4 +1,7 @@
+import difflib
+import functools
 import hashlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -421,14 +424,42 @@ class TestClassification:
             classify_free_actions(1, 4)
 
 
-def record_rows(pairs):
-    """One row per candidate of ``classify_free_actions(m, n)``: its
+def record_rows(reports):
+    """One row per candidate of each ``classify_free_actions`` report: its
     description, status, stage, reason, triviality flag and witness."""
-    for m, n in pairs:
-        for r in classify_free_actions(m, n).records:
+    for report in reports:
+        for r in report.records:
             witness = r.witness and (str(r.witness.middle_class), str(r.witness.product))
-            yield (m, n, r.candidate.describe(), r.status, r.stage, r.reason,
+            yield (report.m, report.n, r.candidate.describe(), r.status, r.stage, r.reason,
                    r.trivial_in_degrees_ge_2, witness)
+
+
+# The benchmark's actions_grid pairs: m <= 5, odd n and top degree
+# m + 2n + 1 <= 70, where powers such as T(d)^(n+1) reach n + 1 = 35.  They
+# are copied, not imported, so the tests do not depend on the benchmark.
+ACTIONS_GRID_PAIRS = tuple((m, n) for m in range(6) for n in range(1, 70, 2)
+                           if m + 2 * n + 1 <= 70)
+SURVIVORS = Path(__file__).parent / "golden" / "actions_grid_survivors.txt"
+
+
+@functools.cache
+def actions_grid_reports():
+    """The reports of the actions_grid pairs, classified once per test run
+    and shared by the tests that read them."""
+    return tuple(classify_free_actions(m, n) for m, n in ACTIONS_GRID_PAIRS)
+
+
+def survivors_table(reports) -> str:
+    """One line per survivor, ``Q(m,n): <images>: <decided|undecided>:
+    <reason>``; undecided is ``ActionReport.unresolved``."""
+    lines = []
+    for report in reports:
+        undecided = {id(r) for r in report.unresolved}
+        for r in report.survivors():
+            kind = "undecided" if id(r) in undecided else "decided"
+            lines.append(f"Q({report.m},{report.n}): {r.candidate.describe()}: "
+                         f"{kind}: {r.reason}\n")
+    return "".join(lines)
 
 
 def test_golden_record_digest():
@@ -437,21 +468,32 @@ def test_golden_record_digest():
     # a record on purpose updates the pin and lists the moved records in
     # CHANGES.md.
     pairs = [(m, n) for m in range(6) for n in range(1, 20, 2) if m + 2 * n + 1 <= 20]
-    rows = list(record_rows(pairs))
+    rows = list(record_rows(classify_free_actions(m, n) for m, n in pairs))
     assert len(rows) == 1148
     digest = hashlib.sha256("\n".join(map(repr, rows)).encode()).hexdigest()[:16]
     assert digest == "58df12286b032e87"
 
 
 def test_golden_record_digest_actions_grid():
-    # Every field of the 4,634 records of the benchmark's actions_grid pairs:
-    # m <= 5, odd n and top degree m + 2n + 1 <= 70, where powers such as
-    # T(d)^(n+1) reach n + 1 = 35.  The pairs are copied, not imported, so
-    # the tests do not depend on the benchmark.  A change that moves a record
-    # on purpose updates the pin and lists the moved records in CHANGES.md.
-    pairs = [(m, n) for m in range(6) for n in range(1, 70, 2) if m + 2 * n + 1 <= 70]
-    assert len(pairs) == 100
-    rows = list(record_rows(pairs))
+    # Every field of the 4,634 records of the actions_grid pairs.  A change
+    # that moves a record on purpose updates the pin and the survivors'
+    # table below, and lists the moved records in CHANGES.md.
+    assert len(ACTIONS_GRID_PAIRS) == 100
+    rows = list(record_rows(actions_grid_reports()))
     assert len(rows) == 4634
     digest = hashlib.sha256("\n".join(map(repr, rows)).encode()).hexdigest()[:16]
     assert digest == "f55f2c654a9cf02e"
+
+
+def test_actions_grid_survivors_table():
+    """The survivors of the actions_grid pairs against the checked-in table,
+    so that a moved survivor reads as a diff beside the digest's new hash.
+
+    After a change that moves a survivor on purpose, rewrite the table from
+    the repository root with
+    ``python -c "import sys; sys.path[:0] = ['src', 'tests']; import test_actions as t; t.SURVIVORS.write_text(t.survivors_table(t.actions_grid_reports()))"``
+    """
+    got = survivors_table(actions_grid_reports()).splitlines(keepends=True)
+    expected = SURVIVORS.read_text().splitlines(keepends=True)
+    diff = "".join(difflib.unified_diff(expected, got, str(SURVIVORS.name), "rebuilt"))
+    assert not diff, diff

@@ -586,3 +586,14 @@ class TestTextFormat:
         # a^5 is of another degree than b^2; a^4 -> b^2 raises the order
         with pytest.raises(PresentationError, match="^line 4: rule"):
             parse_presentation(f"gen a 1\ngen b 2\n# a comment\nrel {rel}\n")
+
+    @pytest.mark.parametrize("gen, message", [
+        ("gen x 0", "generator x must have degree >= 1"),
+        ("gen a 3", "generator a is declared twice"),
+        # no monomial, relation or element can spell a name that starts with a digit
+        ("gen 1a 1", "bad generator name '1a'"),
+    ])
+    def test_parse_invalid_generator_names_its_line(self, gen, message):
+        with pytest.raises(PresentationError) as err:
+            parse_presentation(f"gen a 1\n# a comment\n{gen}\nrel a^2 = 0\n")
+        assert str(err.value) == f"line 3: {message}"

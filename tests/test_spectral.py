@@ -209,7 +209,7 @@ class TestLeibnizGuard:
         e3 = page_r(q14, by_id["A"], 3)
         with pytest.raises(LeibnizInconsistency) as err:
             extend_by_leibniz(e3, by_id["A"])
-        assert err.value.page == 3
+        assert err.value.finding.page == 3
         assert "d^5" in str(err.value)
 
 
@@ -728,6 +728,11 @@ class TestDifferentialValueShortcut:
         assert_differential_values_match(bad, actives, 6)
 
 
+class ReferenceGuardViolation(Exception):
+    """What the reference guards below raise: the text they build
+    themselves, ``page r: `` prefix included, with no ``GuardFinding``."""
+
+
 def relation_guard_by_elements(fiber, r, active):
     """The relation guard on ``Element`` values, as ``extend_by_leibniz``
     ran it before it compared term sets: the reference for its verdict and
@@ -739,25 +744,25 @@ def relation_guard_by_elements(fiber, r, active):
             rhs_val = rhs_val + differential_value_by_elements(fiber, active, mono)
         if lhs_val != rhs_val:
             rhs_elem = Element(fiber, rule.rhs)
-            raise LeibnizInconsistency(
-                r,
-                f"relation {fiber.mono_str(rule.lhs)} = {rhs_elem} is violated: "
+            raise ReferenceGuardViolation(
+                f"page {r}: relation {fiber.mono_str(rule.lhs)} = {rhs_elem} is violated: "
                 f"the differential sends the two sides to t^{r}*({lhs_val}) "
                 f"and t^{r}*({rhs_val})")
 
 
 def guard_message(check):
-    """``str`` of the ``LeibnizInconsistency`` that ``check()`` raises, or None."""
+    """``str`` of the guard violation that ``check()`` raises, the engine's
+    ``LeibnizInconsistency`` or a reference's, or None."""
     try:
         check()
-    except LeibnizInconsistency as exc:
+    except (LeibnizInconsistency, ReferenceGuardViolation) as exc:
         return str(exc)
     return None
 
 
 def assert_guards_agree(fiber):
     """On every active page of every assignment, ``extend_by_leibniz`` and
-    the reference raise the same ``LeibnizInconsistency`` or neither does.
+    the reference raise a guard violation with the same text or neither does.
 
     The guard reads only the page number, so E_2's cells stand in for
     E_r, where every declared class is alive; this also reaches the pages
@@ -913,9 +918,8 @@ def _check_square_zero(page, diff, p, q, raw):
     cell2 = page.cell(p + 2 * diff.r, q + 2 - 2 * diff.r)
     if cell2 is not None and cell2.boundaries.contains(second):
         return
-    raise LeibnizInconsistency(
-        diff.r,
-        f"the differential does not square to zero at ({p},{q})")
+    raise ReferenceGuardViolation(
+        f"page {diff.r}: the differential does not square to zero at ({p},{q})")
 
 
 def turn_page_by_every_cell(page, diff):
@@ -970,10 +974,15 @@ def turn_page_by_every_cell(page, diff):
 
 
 def turn_or_error(turn, page, diff):
+    """The next page and its cells, or None and the error: an elimination,
+    the engine's or the reference's, tagged alike, and a
+    ``SpectralModelError`` by its own type; both with their text."""
     try:
         nxt = turn(page, diff)
-    except (LeibnizInconsistency, SpectralModelError) as exc:
-        return None, (type(exc), str(exc))
+    except (LeibnizInconsistency, ReferenceGuardViolation) as exc:
+        return None, ("eliminated", str(exc))
+    except SpectralModelError as exc:
+        return None, (SpectralModelError, str(exc))
     return nxt, (nxt.r, nxt.stable, nxt.cells)
 
 
