@@ -51,11 +51,14 @@ class ObstructionWitness:
 @dataclass(frozen=True)
 class CandidateRecord:
     candidate: EndoCandidate
-    status: str                      # "survives" | "eliminated"
-    stage: str | None                # filter that eliminated the candidate
+    stage: str | None                # filter that eliminated the candidate; None survives
     reason: str | None
     witness: ObstructionWitness | None
     trivial_in_degrees_ge_2: bool | None
+
+    @property
+    def status(self) -> str:
+        return "survives" if self.stage is None else "eliminated"
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,7 @@ class ActionReport:
     records: tuple[CandidateRecord, ...]
 
     def survivors(self) -> tuple[CandidateRecord, ...]:
-        return tuple(r for r in self.records if r.status == "survives")
+        return tuple(r for r in self.records if r.stage is None)
 
     @property
     def unresolved(self) -> tuple[CandidateRecord, ...]:
@@ -198,11 +201,10 @@ def _record(pres: AlgebraPresentation, cand: EndoCandidate) -> CandidateRecord:
     """Run the filters cheapest-first and record the first that eliminates ``cand``."""
     ok, reason = is_ring_endomorphism(pres, cand)
     if not ok:
-        return CandidateRecord(cand, "eliminated", "ring_endomorphism", reason, None, None)
+        return CandidateRecord(cand, "ring_endomorphism", reason, None, None)
     if not is_involutive(pres, cand):
-        return CandidateRecord(
-            cand, "eliminated", "involutivity",
-            "composed with itself, the map is not the identity", None, None)
+        return CandidateRecord(cand, "involutivity",
+                               "composed with itself, the map is not the identity", None, None)
     try:
         witness = bredon_obstruction(pres, cand)
     except ObstructionInapplicable as exc:
@@ -210,12 +212,11 @@ def _record(pres: AlgebraPresentation, cand: EndoCandidate) -> CandidateRecord:
     else:
         if witness is not None:
             return CandidateRecord(
-                cand, "eliminated", "fixed_point_obstruction",
+                cand, "fixed_point_obstruction",
                 f"a = {witness.middle_class} has a * T(a) = {witness.product} != 0",
                 witness, None)
         reason = "no obstruction found (not eliminated)"
-    return CandidateRecord(cand, "survives", None, reason, None,
-                           is_trivial_in_degrees_ge_2(pres, cand))
+    return CandidateRecord(cand, None, reason, None, is_trivial_in_degrees_ge_2(pres, cand))
 
 
 def classify_free_actions(m: int, n: int) -> ActionReport:

@@ -40,6 +40,17 @@ class PresentationError(ValueError):
     """Malformed generators, rules, or element syntax."""
 
 
+def _check_generator(name: str, degree: int, taken) -> None:
+    """Refuse a name that monomials cannot spell or that ``taken`` holds, and
+    a degree below 1, so that every presentation formats to text that parses."""
+    if not _NAME_RE.fullmatch(name):
+        raise PresentationError(f"bad generator name {name!r}")
+    if name in taken:
+        raise PresentationError(f"generator {name} is declared twice")
+    if degree < 1:
+        raise PresentationError(f"generator {name} must have degree >= 1")
+
+
 @dataclass(frozen=True)
 class Generator:
     name: str
@@ -84,12 +95,10 @@ class AlgebraPresentation:
     def __init__(self, generators, relations, name: str = ""):
         gens = tuple(Generator(g.name, g.degree) if isinstance(g, Generator)
                      else Generator(str(g[0]), int(g[1])) for g in generators)
-        names = [g.name for g in gens]
-        if len(set(names)) != len(names):
-            raise PresentationError("generator names must be unique")
+        taken = set()
         for g in gens:
-            if g.degree < 1:
-                raise PresentationError(f"generator {g.name} must have degree >= 1")
+            _check_generator(g.name, g.degree, taken)
+            taken.add(g.name)
         self.name = name
         self.generators = gens
         self.gen_index = {g.name: i for i, g in enumerate(gens)}
@@ -488,7 +497,7 @@ def parse_presentation(text: str, name: str = "") -> AlgebraPresentation:
     comments are ignored.  The resulting presentation is *not* checked for
     confluence here; callers decide how to handle a failing check.
     """
-    gen_lines = []
+    gen_lines: dict[str, int] = {}     # name -> degree, in declaration order
     rel_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -504,14 +513,11 @@ def parse_presentation(text: str, name: str = "") -> AlgebraPresentation:
                 degree = int(parts[2])
             except ValueError:
                 raise PresentationError(f"line {lineno}: bad degree {parts[2]!r}") from None
-            if not _NAME_RE.fullmatch(gname):
-                raise PresentationError(f"line {lineno}: bad generator name {gname!r}")
-            if any(gname == seen for seen, _ in gen_lines):
-                raise PresentationError(f"line {lineno}: generator {gname} is declared twice")
-            if degree < 1:
-                raise PresentationError(
-                    f"line {lineno}: generator {gname} must have degree >= 1")
-            gen_lines.append((gname, degree))
+            try:
+                _check_generator(gname, degree, gen_lines)
+            except PresentationError as exc:
+                raise PresentationError(f"line {lineno}: {exc}") from None
+            gen_lines[gname] = degree
         elif fields[0] == "rel":
             if len(fields) != 2 or "=" not in fields[1]:
                 raise PresentationError(f"line {lineno}: expected 'rel <monomial> = <polynomial>'")
@@ -519,7 +525,7 @@ def parse_presentation(text: str, name: str = "") -> AlgebraPresentation:
             rel_lines.append((lineno, lhs_text.strip(), rhs_text.strip()))
         else:
             raise PresentationError(f"line {lineno}: unknown directive {fields[0]!r}")
-    skeleton = AlgebraPresentation(gen_lines, [], name=name)
+    skeleton = AlgebraPresentation(gen_lines.items(), [], name=name)
     relations = []
     for lineno, lhs_text, rhs_text in rel_lines:
         try:    # a non-homogeneous sum raises a plain ValueError
@@ -529,7 +535,7 @@ def parse_presentation(text: str, name: str = "") -> AlgebraPresentation:
         except ValueError as exc:
             raise PresentationError(f"line {lineno}: {exc}") from None
         relations.append((lhs, rhs))
-    return AlgebraPresentation(gen_lines, relations, name=name)
+    return AlgebraPresentation(gen_lines.items(), relations, name=name)
 
 
 def format_presentation(pres: AlgebraPresentation) -> str:

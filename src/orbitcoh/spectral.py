@@ -25,7 +25,8 @@ why a case dies as a ``GuardFinding``: the guard (``leibniz``,
 relation, the two values of d_r on its sides and the violating degrees,
 whichever apply.  Its text, a verdict's ``detail``, is rendered only when
 someone reads it.  A ``LeibnizInconsistency`` is its finding and nothing
-more: its text is the finding's.
+more: its text is the finding's.  So is a ``CaseVerdict``: its outcome and
+its reason (``GUARD_REASONS``) are read from the finding.
 
 Only what d_r moves is recomputed, since E_{r+1} equals E_r where d_r is
 zero: after a page on which no generator transgresses, the next page shares
@@ -223,6 +224,11 @@ class GuardFinding:
         return f"nonzero classes in degrees {list(self.degrees)}"
 
 
+# The reason a verdict states for the guard that eliminated its case.
+GUARD_REASONS = {**dict.fromkeys(("leibniz", "square_zero"), "leibniz_inconsistent"),
+                 "vanishing": "vanishing_violation"}
+
+
 @dataclass(frozen=True)
 class CaseVerdict:
     """The outcome of one assignment.
@@ -230,18 +236,25 @@ class CaseVerdict:
     An eliminated case keeps the ``GuardFinding`` that eliminated it, not
     the exception, whose traceback would keep the run's frames and pages
     alive; a survivor has no finding and keeps its E_infinity page.
-    ``detail`` renders the finding's text each time it is read.
+    ``outcome``, ``reason`` and ``detail`` are read from the finding, and
+    ``detail`` renders its text each time it is read.
     """
 
     assignment: DifferentialAssignment
-    outcome: str                 # "survives" | "eliminated"
-    reason: str | None           # "leibniz_inconsistent" | "vanishing_violation"
     finding: GuardFinding | None
-    e_infinity: Page | None
+    e_infinity: Page | None = None
 
     @property
     def case_id(self) -> str:
         return self.assignment.case_id
+
+    @property
+    def outcome(self) -> str:
+        return "survives" if self.finding is None else "eliminated"
+
+    @property
+    def reason(self) -> str | None:
+        return None if self.finding is None else GUARD_REASONS[self.finding.guard]
 
     @property
     def detail(self) -> str | None:
@@ -567,16 +580,15 @@ def run_case(fiber: AlgebraPresentation, dim_x: int,
         for page in pages(fiber, assignment):
             pass
     except LeibnizInconsistency as exc:
-        return CaseVerdict(assignment, "eliminated", "leibniz_inconsistent",
-                           exc.finding, None)
+        return CaseVerdict(assignment, exc.finding)
     top = fiber.top_degree
     last = max(dim_x + 1, dim_x + top, page.stable + top)
     totals = page.total_dimensions(last)
     violations = [j for j in range(max(dim_x + 1, 0), last + 1) if totals[j] > 0]
     if not violations:
-        return CaseVerdict(assignment, "survives", None, None, page)
-    finding = GuardFinding("vanishing", fiber, degrees=tuple(violations), dim_x=dim_x)
-    return CaseVerdict(assignment, "eliminated", "vanishing_violation", finding, None)
+        return CaseVerdict(assignment, None, page)
+    return CaseVerdict(assignment, GuardFinding("vanishing", fiber, degrees=tuple(violations),
+                                                dim_x=dim_x))
 
 
 def analyze_all(fiber: AlgebraPresentation, dim_x: int) -> list[CaseVerdict]:

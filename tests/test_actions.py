@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import difflib
 import functools
 import hashlib
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from orbitcoh import gf2
 from orbitcoh.actions import (
+    CandidateRecord,
     EndoCandidate,
     ObstructionInapplicable,
     ObstructionWitness,
@@ -20,6 +23,7 @@ from orbitcoh.actions import (
     is_ring_endomorphism,
     is_trivial_in_degrees_ge_2,
 )
+from orbitcoh.actions import _record
 from orbitcoh.algebra import (
     AlgebraPresentation,
     Element,
@@ -229,6 +233,35 @@ class TestInvolutive:
         assert is_involutive(q13, cand) == (twice == q13.gen("d"))
 
 
+def exterior_on_three():
+    """E = F2[a, b, e]/(a^2, b^2, e^2), three generators of degree 1."""
+    return AlgebraPresentation([("a", 1), ("b", 1), ("e", 1)],
+                               [((2, 0, 0), ()), ((0, 2, 0), ()), ((0, 0, 2), ())])
+
+
+class TestInvolutivityStage:
+    # On Wall no candidate dies at involutivity: every ring automorphism found
+    # there is an involution.  On E the cycle a -> b -> e -> a is a ring
+    # automorphism of order 3.
+    def test_three_cycle_dies_at_involutivity(self):
+        pres = exterior_on_three()
+        cand = candidate(pres, a="b", b="e", e="a")
+        assert is_ring_endomorphism(pres, cand) == (True, None)
+        record = _record(pres, cand)
+        assert (record.stage, record.status, record.witness) == (
+            "involutivity", "eliminated", None)
+        assert record.reason == "composed with itself, the map is not the identity"
+
+    def test_stage_counts(self):
+        pres = exterior_on_three()
+        records = [_record(pres, cand) for cand in enumerate_candidates(pres)]
+        assert len(records) == 7 ** 3
+        assert collections.Counter((r.stage, r.status) for r in records) == {
+            ("ring_endomorphism", "eliminated"): 175,
+            ("involutivity", "eliminated"): 146,
+            (None, "survives"): 22}
+
+
 class TestBredonObstruction:
     def test_witness_for_twisted_d_n5(self):
         q15 = wall_presentation(1, 5)
@@ -422,6 +455,14 @@ class TestClassification:
     def test_even_n_rejected(self):
         with pytest.raises(ValueError):
             classify_free_actions(1, 4)
+
+    def test_status_is_read_from_stage(self):
+        assert [f.name for f in dataclasses.fields(CandidateRecord)] == [
+            "candidate", "stage", "reason", "witness", "trivial_in_degrees_ge_2"]
+        report = classify_free_actions(1, 3)
+        assert {(r.stage is None, r.status) for r in report.records} == {
+            (True, "survives"), (False, "eliminated")}
+        assert report.survivors() == tuple(r for r in report.records if r.stage is None)
 
 
 def record_rows(reports):

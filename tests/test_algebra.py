@@ -546,6 +546,24 @@ class TestValidation:
             q13.to_vector(q23.gen("d"), 2)
 
 
+def builtin_presentations():
+    """The 82 built-ins: Wall Q(m <= 5, n <= 7), Dold P(m <= 4, n <= 4),
+    S^1..S^8 and F2[t]."""
+    return ([wall_presentation(m, n) for m in range(6) for n in range(8)]
+            + [dold_presentation(m, n) for m in range(5) for n in range(5)]
+            + spheres() + [base_presentation()])
+
+
+def assert_round_trip(pres):
+    """Formatted and parsed back, ``pres`` keeps its generators, its rules in
+    order and its Poincare series (F2[t]'s up to degree 12)."""
+    back = parse_presentation(format_presentation(pres))
+    assert back.generators == pres.generators
+    assert back.rules == pres.rules
+    up_to = 12 if pres.top_degree is None else pres.top_degree + 2
+    assert back.poincare_series(up_to) == pres.poincare_series(up_to)
+
+
 class TestTextFormat:
     def test_roundtrip_wall(self):
         q23 = wall_presentation(2, 3)
@@ -597,3 +615,23 @@ class TestTextFormat:
         with pytest.raises(PresentationError) as err:
             parse_presentation(f"gen a 1\n# a comment\n{gen}\nrel a^2 = 0\n")
         assert str(err.value) == f"line 3: {message}"
+
+    @pytest.mark.parametrize("gens, message", [
+        ([("a", 1), ("x", 0)], "generator x must have degree >= 1"),
+        ([("a", 1), ("a", 3)], "generator a is declared twice"),
+        # formatted, '1a' would write text that does not parse
+        ([("1a", 1)], "bad generator name '1a'"),
+    ])
+    def test_constructor_refuses_what_the_parser_refuses(self, gens, message):
+        with pytest.raises(PresentationError) as err:
+            AlgebraPresentation(gens, [])
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("pres", builtin_presentations(), ids=lambda p: p.name)
+    def test_roundtrip_builtin(self, pres):
+        assert_round_trip(pres)
+
+    @given(monomial_presentations())
+    @settings(max_examples=50, deadline=None)
+    def test_roundtrip_random_monomial_presentations(self, pres):
+        assert_round_trip(pres)

@@ -1,9 +1,12 @@
 import dataclasses
+import difflib
+import functools
 import gc
 import hashlib
 import itertools
 import types
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -351,6 +354,28 @@ class TestRunCase:
         for v in verdicts:
             assert (v.outcome, v.reason, v.detail) == (
                 "eliminated", "vanishing_violation", "nonzero classes in degrees [1]")
+
+
+class TestCaseVerdict:
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(spectral.CaseVerdict)] == [
+            "assignment", "finding", "e_infinity"]
+
+    def test_outcome_reason_and_detail_are_read_from_the_finding(self):
+        q13 = wall_presentation(1, 3)
+        asgn = assignments_by_id(q13)["B1"]
+        finding = spectral.GuardFinding("leibniz", q13, page=2, relation=q13.rules[0],
+                                        values=(frozenset(), frozenset()))
+        for guard, reason in [("leibniz", "leibniz_inconsistent"),
+                              ("square_zero", "leibniz_inconsistent"),
+                              ("vanishing", "vanishing_violation")]:
+            verdict = spectral.CaseVerdict(asgn, dataclasses.replace(finding, guard=guard))
+            assert (verdict.outcome, verdict.reason) == ("eliminated", reason)
+            assert verdict.e_infinity is None
+        verdict = spectral.CaseVerdict(asgn, finding)
+        assert verdict.detail == finding.render() and verdict.case_id == "B1"
+        survivor = spectral.CaseVerdict(asgn, None, build_e2(q13))
+        assert (survivor.outcome, survivor.reason, survivor.detail) == ("survives", None, None)
 
 
 class TestAnalyzeAll:
@@ -823,15 +848,49 @@ def verdict_rows(fibers):
                    verdict.detail, totals)
 
 
+@functools.cache
+def golden_verdict_rows():
+    """The golden fibers' verdict rows, run once per test run and shared by
+    the digest and the readable table."""
+    return tuple(verdict_rows(golden_fibers()))
+
+
+VERDICTS = Path(__file__).parent / "golden" / "spectral_verdicts.txt"
+
+
+def verdicts_table(rows) -> str:
+    """One line per verdict row: ``<fiber>: <case>: <outcome>[: <reason>]``,
+    or ``<fiber>: <case>: <exception type>: <message>`` for a refused case."""
+    lines = []
+    for row in rows:
+        fiber, case, outcome, reason = row[:4]
+        lines.append(f"{fiber}: {case}: {outcome}" + (f": {reason}" if reason else "") + "\n")
+    return "".join(lines)
+
+
 def test_golden_verdict_digest():
     # Pinned before the E_2 cache, the one-sweep totals and the direct Leibniz
     # values, and moved once since: the vanishing range that turned P(0, 0)'s
     # four survivors into eliminations.  A change that moves a verdict on
     # purpose updates the pin and lists the moved verdicts in CHANGES.md.
-    rows = list(verdict_rows(golden_fibers()))
+    rows = golden_verdict_rows()
     assert len(rows) == 1232
     digest = hashlib.sha256("\n".join(map(repr, rows)).encode()).hexdigest()[:16]
     assert digest == "d85b2cf0800516e5"
+
+
+def test_golden_verdicts_table():
+    """The golden fibers' verdicts against the checked-in table, so that a
+    moved verdict reads as a diff beside the digest's new hash.
+
+    After a change that moves a verdict on purpose, rewrite the table from
+    the repository root with
+    ``python -c "import sys; sys.path[:0] = ['src', 'tests']; import test_spectral as t; t.VERDICTS.write_text(t.verdicts_table(t.golden_verdict_rows()))"``
+    """
+    got = verdicts_table(golden_verdict_rows()).splitlines(keepends=True)
+    expected = VERDICTS.read_text().splitlines(keepends=True)
+    diff = "".join(difflib.unified_diff(expected, got, str(VERDICTS.name), "rebuilt"))
+    assert not diff, diff
 
 
 def decided_verdicts(fibers):
