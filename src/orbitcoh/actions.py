@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import gf2, wall
-from .algebra import AlgebraPresentation, Element, PresentationError, wall_presentation
+from .algebra import AlgebraPresentation, Element, wall_presentation
 
 
 class ObstructionInapplicable(ValueError):
@@ -97,18 +97,15 @@ def apply_candidate(pres: AlgebraPresentation, cand: EndoCandidate,
                     elem_or_mono) -> Element:
     """Image of an element (or a raw monomial) under the candidate map.
 
-    A raw monomial needs one exponent >= 0 per generator, and an element
-    must belong to ``pres``."""
+    A raw monomial needs one integer exponent >= 0 per generator
+    (``AlgebraPresentation.check_mono``), and an element must belong to
+    ``pres``."""
     if isinstance(elem_or_mono, Element):
         if elem_or_mono.algebra is not pres:
             raise ValueError("elements belong to different presentations")
         monos = elem_or_mono.terms
     else:
-        mono = tuple(elem_or_mono)
-        if len(mono) != len(pres.generators) or min(mono, default=0) < 0:
-            raise PresentationError(
-                f"monomial {mono} needs {len(pres.generators)} exponents >= 0")
-        monos = [mono]
+        monos = [pres.check_mono(elem_or_mono)]
     total = pres.zero()
     for mono in monos:
         term = pres.unit()

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from operator import mul
+from operator import index, mul
 
 Mono = tuple[int, ...]
 
@@ -38,6 +38,15 @@ _FACTOR_RE = re.compile(rf"({_NAME_RE.pattern})(?:\^(\d+))?$", re.UNICODE)
 
 class PresentationError(ValueError):
     """Malformed generators, rules, or element syntax."""
+
+
+def _integers(values) -> tuple[int, ...] | None:
+    """``values`` as ints by ``operator.index``, or None if one is not an
+    integer: a float or a numeric string is refused, never truncated."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        return None
 
 
 def _check_generator(name: str, degree: int, taken) -> None:
@@ -93,14 +102,17 @@ class AlgebraPresentation:
     """
 
     def __init__(self, generators, relations, name: str = ""):
-        gens = tuple(Generator(g.name, g.degree) if isinstance(g, Generator)
-                     else Generator(str(g[0]), int(g[1])) for g in generators)
-        taken = set()
-        for g in gens:
-            _check_generator(g.name, g.degree, taken)
-            taken.add(g.name)
+        gens, taken = [], set()
+        for g in generators:
+            gname, raw = (g.name, g.degree) if isinstance(g, Generator) else (str(g[0]), g[1])
+            degree = _integers((raw,))
+            if degree is None:
+                raise PresentationError(f"generator {gname} has degree {raw!r}, not an integer")
+            _check_generator(gname, degree[0], taken)
+            taken.add(gname)
+            gens.append(Generator(gname, degree[0]))
         self.name = name
-        self.generators = gens
+        self.generators = gens = tuple(gens)
         self.gen_index = {g.name: i for i, g in enumerate(gens)}
         self._degrees = tuple(g.degree for g in gens)
         self.rules = tuple(self._validate_rule(lhs, rhs) for lhs, rhs in relations)
@@ -136,13 +148,19 @@ class AlgebraPresentation:
                 parts.append(f"{g.name}^{e}")
         return "*".join(parts) if parts else "1"
 
+    def check_mono(self, mono, what: str = "monomial") -> Mono:
+        """``mono`` as an exponent tuple: one integer >= 0 per generator, else
+        ``PresentationError``.  A float exponent is refused, not truncated;
+        ``what`` names the monomial in the error's text."""
+        exps = _integers(mono)
+        if exps is None or len(exps) != len(self._degrees) or min(exps, default=0) < 0:
+            raise PresentationError(
+                f"{what} {tuple(mono)} needs {len(self._degrees)} exponents >= 0")
+        return exps
+
     def _validate_rule(self, lhs, rhs) -> RewriteRule:
-        lhs = tuple(int(e) for e in lhs)
-        rhs = frozenset(tuple(int(e) for e in m) for m in rhs)
-        for m in (lhs, *rhs):
-            if len(m) != len(self.generators) or min(m, default=0) < 0:
-                raise PresentationError(
-                    f"rule monomial {m} needs {len(self.generators)} exponents >= 0")
+        lhs = self.check_mono(lhs, "rule monomial")
+        rhs = frozenset(self.check_mono(m, "rule monomial") for m in rhs)
         deg = self.mono_degree(lhs)
         if deg < 1:
             raise PresentationError("rule left-hand side must have positive degree")

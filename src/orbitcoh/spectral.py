@@ -30,9 +30,9 @@ its reason (``GUARD_REASONS``) are read from the finding.
 
 Only what d_r moves is recomputed, since E_{r+1} equals E_r where d_r is
 zero: after a page on which no generator transgresses, the next page shares
-its cells.  On an active page a cell that receives no image is built and
-checked once and shared by every column that reads it, and one that also
-keeps its cycles is carried over as the same ``Cell``.
+its cells.  On an active page each stored cell has one successor: the
+same ``Cell`` where d_r keeps its cycles, else one checked cell, shared by
+every column that reads it and receives no image.
 
 Stable columns: every differential is linear over ``F2[t]``, and
 multiplication by ``t`` maps each column of E_2 isomorphically onto the
@@ -96,11 +96,26 @@ class TransgressionTarget:
 
 @dataclass(frozen=True)
 class DifferentialAssignment:
-    """Per-generator differential choices plus a stable case label."""
+    """Per-generator differential choices plus a stable case label.
+
+    Checked when built (``ValueError``): ``choices`` names the fiber's
+    generators once each, in order, and a target of g is on a page in
+    ``2..deg(g) + 1``, as ``enumerate_assignments`` offers them."""
 
     fiber: AlgebraPresentation
     choices: tuple[tuple[str, TransgressionTarget | None], ...]
     case_id: str
+
+    def __post_init__(self):
+        gens = self.fiber.generators
+        names = [name for name, _ in self.choices]
+        if names != [g.name for g in gens]:
+            raise ValueError(f"choices name {names}, not the fiber's generators "
+                             f"{[g.name for g in gens]} once each and in order")
+        for g, (_, tgt) in zip(gens, self.choices):
+            if tgt is not None and not 2 <= tgt.page <= g.degree + 1:
+                raise ValueError(f"the target of {g.name} is on page {tgt.page}, "
+                                 f"outside 2..{g.degree + 1}")
 
     def target(self, name: str) -> TransgressionTarget | None:
         for gname, tgt in self.choices:
@@ -445,8 +460,10 @@ def _check_targets_alive(page: Page, active: dict[str, TransgressionTarget]):
 
 def _is_nonzero_class(page: Page, p: int, q: int, elem: Element) -> bool:
     cell = page.cell(p, q)
+    if cell is None:    # also a zero element, whose degree q is None
+        return False
     vec = page.fiber.to_vector(elem, q)
-    return cell is not None and cell.cycles.contains(vec) and not cell.boundaries.contains(vec)
+    return cell.cycles.contains(vec) and not cell.boundaries.contains(vec)
 
 
 def turn_page(page: Page, diff: PageDifferential) -> Page:
@@ -463,13 +480,13 @@ def turn_page(page: Page, diff: PageDifferential) -> Page:
     and one RREF makes them a ``Subspace``.  A cycle survives when its image
     is zero modulo the target's boundaries.
 
-    A row with no target cell, or on which d_r is zero, keeps its cycles:
-    every image vanishes, so no check can fail there.  A new cell that
-    receives no image is built and checked once per stored cell and shared
-    by every column that reads it; if it also keeps its cycles, it is the
-    previous page's ``Cell``, whose boundaries passed the kernel check when
-    it was built.  If d_r moves nothing at all, the page is E_r again and S
-    stays put.
+    Each stored cell gets one successor: itself where d_r leaves its cycles
+    alone, else a checked cell of the new cycles and the old boundaries.
+    Stored column c < S fills column c of the new page, and column S fills
+    S..S'; a position that receives images gets a checked cell of the
+    successor's cycles and its boundaries plus the images, and every other
+    position shares the successor itself.  S' = S + r, or S when d_r moves
+    nothing at all: then the page is E_r again.
 
     Checks, in order, wherever d_r moves something: per cycle, its image is
     a cycle and the square of the differential vanishes on it; images of
@@ -481,19 +498,18 @@ def turn_page(page: Page, diff: PageDifferential) -> Page:
     r, stable = page.r, page.stable
     matrices = diff.row_matrices
     moving = {q for q, matrix in matrices.items() if any(matrix)}
-    columns: dict[int, list[tuple[int, Cell, gf2.Subspace]]] = {}   # (q, cell, new cycles)
+    successors: dict[tuple[int, int], Cell] = {}   # by stored cell
     images: dict[tuple[int, int], list[int]] = {}   # nonzero images, by source cell
     for pos in sorted(page.cells):
         p, q = pos
-        cell = page.cells[pos]
-        cycles = cell.cycles
+        cell = successors[pos] = page.cells[pos]
         tgt_cell = page.cell(p + r, q + 1 - r) if q in moving else None
         if tgt_cell is not None:
             matrix, square = matrices[q], matrices.get(q + 1 - r)
             tgt_cycles, tgt_boundaries = tgt_cell.cycles, tgt_cell.boundaries
             cell2 = page.cell(p + 2 * r, q + 2 - 2 * r)
             nonzero, reduced = [], []
-            for vec in cycles.basis:
+            for vec in cell.cycles.basis:
                 raw = gf2.combine(vec, matrix)
                 if raw:
                     if not tgt_cycles.contains(raw):
@@ -512,27 +528,18 @@ def turn_page(page: Page, diff: PageDifferential) -> Page:
                     raise SpectralModelError(
                         f"differential at ({p},{q}) is not well defined on cosets")
             if any(reduced):
-                cycles = gf2.Subspace.from_vectors(
-                    gf2.kernel_vectors(reduced, cycles.basis), cycles.ambient_dim)
+                successors[pos] = _checked_cell(gf2.Subspace.from_vectors(
+                    gf2.kernel_vectors(reduced, cell.cycles.basis), cell.cycles.ambient_dim),
+                    cell.boundaries, p, q, r)
             if nonzero:
                 images[pos] = nonzero
-        columns.setdefault(p, []).append((q, cell, cycles))
     new_stable = stable + r if images else stable
     new_cells = {}
-    unhit: dict[tuple[int, int], Cell] = {}   # by stored cell: the new cell without images
-    for p in range(new_stable + 1):
-        column = min(p, stable)
-        for q, cell, cycles in columns.get(column, ()):
-            incoming = images.get((p - r, q + r - 1))
-            if incoming is None:
-                new = unhit.get((column, q))
-                if new is None:
-                    new = cell if cycles is cell.cycles else _checked_cell(
-                        cycles, cell.boundaries, p, q, r)
-                    unhit[(column, q)] = new
-            else:
-                new = _checked_cell(cycles, cell.boundaries.add(incoming), p, q, r)
-            new_cells[(p, q)] = new
+    for (p, q), successor in successors.items():
+        for column in range(p, new_stable + 1) if p == stable else (p,):
+            incoming = images.get((column - r, q + r - 1))
+            new_cells[(column, q)] = successor if incoming is None else _checked_cell(
+                successor.cycles, successor.boundaries.add(incoming), column, q, r)
     return Page(page.fiber, r + 1, new_stable, new_cells)
 
 

@@ -151,7 +151,9 @@ class TestApplyCandidate:
         cand = candidate(q13, x="x", c="c + x", d="d")
         assert apply_candidate(q13, cand, (0, 1, 1)) == q13.parse_element("c*d + x*d")
 
-    @pytest.mark.parametrize("mono", [(0, 0, 1, 5), (1,), (), (0, -1, 1)])
+    # a float exponent is refused here, not passed on to Element.__pow__
+    @pytest.mark.parametrize("mono", [(0, 0, 1, 5), (1,), (), (0, -1, 1),
+                                      (1.5, 0, 0), (0, 1.0, 1), (0, 0, "1")])
     def test_rejects_malformed_raw_monomial(self, mono):
         q13 = wall_presentation(1, 3)
         cand = candidate(q13, x="x", c="c", d="d")

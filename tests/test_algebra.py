@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from orbitcoh.algebra import (
     AlgebraPresentation,
     Element,
+    Generator,
     PresentationError,
     base_presentation,
     dold_presentation,
@@ -528,6 +529,23 @@ class TestValidation:
         # x^-1 * y^2 has degree 1, so only the sign check catches it
         with pytest.raises(PresentationError, match="exponents >= 0"):
             AlgebraPresentation([("x", 1), ("y", 1)], [((-1, 2), ())])
+
+    @pytest.mark.parametrize("generator", [("a", 1.9), Generator("a", 1.5), ("a", "2")])
+    def test_rejects_a_degree_that_is_not_an_integer(self, generator):
+        # int() would truncate 1.9 to a degree-1 generator
+        with pytest.raises(PresentationError, match="not an integer"):
+            AlgebraPresentation([generator], [])
+
+    @pytest.mark.parametrize("lhs, rhs", [((2.7,), ()), ((2,), [(2.0,)]), (("2",), ())])
+    def test_rejects_an_exponent_that_is_not_an_integer(self, lhs, rhs):
+        # int() would truncate (2.7,) to a^2 = 0
+        with pytest.raises(PresentationError, match="needs 1 exponents >= 0"):
+            AlgebraPresentation([("a", 1)], [(lhs, rhs)])
+
+    def test_accepts_integer_degrees_and_exponents_as_ints(self):
+        pres = AlgebraPresentation([Generator("a", True), ("b", 2)], [([2, False], ())])
+        assert [type(g.degree) for g in pres.generators] == [int, int]
+        assert pres.rules[0].lhs == (2, 0) and type(pres.rules[0].lhs[1]) is int
 
     def test_rejects_wrong_length_rhs_monomial(self):
         # (1, 1, 0) has degree 2 and is below y^2 in the order over two generators

@@ -235,6 +235,16 @@ class TestTargetGuards:
                         for g in fiber.generators)
         return DifferentialAssignment(fiber, choices, "hand-built")
 
+    @pytest.mark.parametrize("page", [2, 3])
+    def test_zero_target_is_refused(self, page):
+        # a zero target has no degree, so no cell holds it: refused, not a crash
+        q13 = wall_presentation(1, 3)
+        asgn = self.hand_built(q13, "d", page, q13.zero())
+        with pytest.raises(SpectralModelError) as err:
+            run_case(q13, 8, asgn)
+        assert str(err.value) == (f"declared target t^{page}*0 for d is not a "
+                                  f"nonzero class on page {page}")
+
     @pytest.mark.parametrize("page, due", [(2, 2), (3, 1)])
     def test_target_of_the_wrong_degree_on_a_sphere(self, page, due):
         # on S^3, d_r(a) lands in fiber degree 4 - r, so t^2 and t^3 alone do not fit
@@ -271,6 +281,26 @@ class TestTargetGuards:
         with pytest.raises(SpectralModelError) as err:
             turn_page(e3, diff)
         assert str(err.value) == "differential image at (0,5) is not a cycle on page 3"
+
+
+class TestAssignmentChecks:
+    """A hand-built ``DifferentialAssignment`` is checked when it is built."""
+
+    @pytest.mark.parametrize("names", [("x", "c", "e"), ("x", "c"), ("x", "x", "d"),
+                                       ("c", "x", "d")])
+    def test_choices_name_the_generators_once_each_in_order(self, names):
+        # unknown, missing, repeated and reordered names
+        q13 = wall_presentation(1, 3)
+        with pytest.raises(ValueError, match="not the fiber's generators"):
+            DifferentialAssignment(q13, tuple((name, None) for name in names), "hand-built")
+
+    @pytest.mark.parametrize("name, page, elem", [("x", 1, "x"), ("d", 4, "1")])
+    def test_target_page_lies_in_2_to_degree_plus_1(self, name, page, elem):
+        # no page runs d_1, so d_1(x) = t*x would be dropped without a word,
+        # and d_4 of the degree-2 generator d leaves the first quadrant
+        q13 = wall_presentation(1, 3)
+        with pytest.raises(ValueError, match=f"on page {page}, outside 2"):
+            TestTargetGuards.hand_built(q13, name, page, q13.parse_element(elem))
 
 
 class TestTurnPage:
@@ -1095,6 +1125,22 @@ class TestTurnPageShortcut:
         assert {(p, q) for p, q in e4.cells if p < 3 and q < 2} <= kept
         assert kept != set(e4.cells)
         assert e4.cells == turn_page_by_every_cell(e3, diff).cells
+
+    def test_a_checked_successor_is_shared_across_columns(self):
+        # case B1 of Q(1, 3) is d_2(d) = t^2*x, so E_3 stores columns 0..2;
+        # columns 0 and 1 receive no image and share each row's successor
+        q13 = wall_presentation(1, 3)
+        asgn = assignments_by_id(q13)["B1"]
+        e2, e3 = page_r(q13, asgn, 2), page_r(q13, asgn, 3)
+        assert e3.stable == 2
+        shrunk = {q for q in range(q13.top_degree + 1)
+                  if e3.cells[(0, q)].cycles != e2.cells[(0, q)].cycles}
+        assert shrunk == {2, 3, 6, 7}
+        for q in range(q13.top_degree + 1):
+            successor = e3.cells[(0, q)]
+            assert successor is e3.cells[(1, q)], q
+            assert (successor is e2.cells[(0, q)]) == (q not in shrunk), q
+            assert (successor is e3.cells[(2, q)]) == (q in {0, 3, 4, 7, 8}), q
 
 
 class TestPagesLoop:
