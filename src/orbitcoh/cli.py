@@ -57,7 +57,7 @@ def _spectral(m: int, n: int) -> dict:
         except spectral.SpectralModelError as exc:
             outcome, reason, detail, finding = "error", type(exc).__name__, str(exc), None
         cases.append({"case": assignment.case_id,
-                      "differentials": spectral.describe_differentials(assignment.choices) or None,
+                      "differentials": assignment.describe() or None,
                       "outcome": outcome, "reason": reason, "detail": detail,
                       **_finding_fields(finding)})
     return {"fiber": f"Q({m},{n})", "dim_x": dim_x, "cases": cases}

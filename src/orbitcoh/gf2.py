@@ -10,8 +10,10 @@ per subspace, so a ``Subspace`` is its RREF rows and nothing else, and
 every derived basis (kernels, images, coset representatives) is
 reproducible between runs.  ``kernel_vectors`` is the one elimination
 that records how each row was formed; ``kernel_basis`` and ``solve`` read
-their answers from it.  All dimensions here are a few dozen at most, so
-plain elimination on word-packed vectors suffices.
+their answers from it.  Plain elimination on int bit masks suffices at
+the measured widths: ``degree_basis(q)`` has at most 6 monomials on the
+wall_grid fibers and 172 on Q(3,5)×Q(3,5) (ROADMAP R).  Past one 30-bit
+digit ``Subspace.reduce`` slows down (CHANGES.md, its FOUND line).
 """
 
 from __future__ import annotations

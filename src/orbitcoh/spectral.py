@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add
 
 from . import gf2, wall
@@ -78,56 +78,65 @@ class SpectralModelError(RuntimeError):
     """The transgressive model cannot determine this run (engine refuses to guess)."""
 
 
-@dataclass(frozen=True)
-class TransgressionTarget:
-    """A nonzero differential value ``t^page (x) element`` for one generator."""
-
-    page: int
-    element: Element
-
-    def render(self) -> str:
-        if self.element.terms == {self.element.algebra.unit_mono()}:
-            return f"t^{self.page}"
-        body = str(self.element)
-        if len(self.element.terms) > 1:
-            body = f"({body})"
-        return f"t^{self.page}*{body}"
+def _transgression_text(r: int, target: Element) -> str:
+    """``t^r*target``, the target in parentheses when it has several terms."""
+    body = str(target) if len(target.terms) == 1 else f"({target})"
+    return f"t^{r}" if target.degree == 0 else f"t^{r}*{body}"
 
 
 @dataclass(frozen=True)
 class DifferentialAssignment:
-    """Per-generator differential choices plus a stable case label.
+    """One transgression target per fiber generator, in generator order.
 
-    Checked when built (``ValueError``): ``choices`` names the fiber's
-    generators once each, in order, and a target of g is on a page in
-    ``2..deg(g) + 1``, as ``enumerate_assignments`` offers them."""
+    A target is the fiber component of ``d_r(g) = t^r (x) target``, or None
+    for a permanent cocycle.  Its degree fixes the page, r = deg(g) + 1 -
+    deg(target), computed once here.  Checked when built (``ValueError``):
+    one target per generator, each a nonzero element of ``fiber`` of degree
+    0..deg(g) - 1, so on a page 2..deg(g) + 1.  Names, the ``d<r>(g)=...``
+    text and the case label are read when asked for."""
 
     fiber: AlgebraPresentation
-    choices: tuple[tuple[str, TransgressionTarget | None], ...]
-    case_id: str
+    targets: tuple[Element | None, ...]
+    _pages: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = self.fiber.generators
-        names = [name for name, _ in self.choices]
-        if names != [g.name for g in gens]:
-            raise ValueError(f"choices name {names}, not the fiber's generators "
-                             f"{[g.name for g in gens]} once each and in order")
-        for g, (_, tgt) in zip(gens, self.choices):
-            if tgt is not None and not 2 <= tgt.page <= g.degree + 1:
-                raise ValueError(f"the target of {g.name} is on page {tgt.page}, "
-                                 f"outside 2..{g.degree + 1}")
-
-    def target(self, name: str) -> TransgressionTarget | None:
-        for gname, tgt in self.choices:
-            if gname == name:
-                return tgt
-        raise KeyError(name)
+        if len(self.targets) != len(gens):
+            raise ValueError(f"{len(self.targets)} targets for {len(gens)} generators")
+        for g, tgt in zip(gens, self.targets):
+            if tgt is None:
+                continue
+            if tgt.algebra is not self.fiber:
+                raise ValueError(f"the target of {g.name} belongs to another presentation")
+            if not tgt:
+                raise ValueError(f"the target of {g.name} is zero")
+            if not 0 <= tgt.degree < g.degree:
+                raise ValueError(f"the target of {g.name} has degree {tgt.degree}, "
+                                 f"outside 0..{g.degree - 1}")
+        object.__setattr__(self, "_pages", tuple(
+            None if tgt is None else g.degree + 1 - tgt.degree
+            for g, tgt in zip(gens, self.targets)))
 
     def active_pages(self) -> tuple[int, ...]:
-        return tuple(sorted({t.page for _, t in self.choices if t is not None}))
+        return tuple(sorted({r for r in self._pages if r is not None}))
 
-    def active_at(self, r: int) -> dict[str, TransgressionTarget]:
-        return {name: t for name, t in self.choices if t is not None and t.page == r}
+    def active_at(self, r: int) -> dict[str, Element]:
+        """The targets of the generators transgressing on page r, by name."""
+        return {g.name: tgt for g, tgt, page in zip(self.fiber.generators, self.targets,
+                                                    self._pages) if page == r}
+
+    def describe(self) -> str:
+        """``d<r>(<generator>)=<t^r*target>`` for each transgressing
+        generator, joined by "; "; empty when none transgresses."""
+        return "; ".join(f"d{r}({g.name})={_transgression_text(r, tgt)}"
+                         for g, tgt, r in zip(self.fiber.generators, self.targets, self._pages)
+                         if tgt is not None)
+
+    @property
+    def case_id(self) -> str:
+        """The paper's letter on the Wall fiber (``wall.case_label``), else
+        ``describe()``, else Z."""
+        return wall.case_label(self.fiber, self.targets) or self.describe() or "Z"
 
 
 @dataclass(frozen=True)
@@ -300,18 +309,11 @@ def build_e2(fiber: AlgebraPresentation) -> Page:
 # -- assignment enumeration ----------------------------------------------------
 
 
-def _generator_choices(fiber: AlgebraPresentation, gen) -> list[TransgressionTarget | None]:
-    choices: list[TransgressionTarget | None] = [None]
-    for r in range(2, gen.degree + 2):
-        choices.extend(TransgressionTarget(r, elem)
-                       for elem in fiber.nonzero_elements(gen.degree + 1 - r))
-    return choices
-
-
-def describe_differentials(choices) -> str:
-    """``d<r>(<generator>)=<target>`` for each transgressing generator of
-    ``choices`` (``(name, target or None)`` pairs), joined by "; "."""
-    return "; ".join(f"d{t.page}({name})={t.render()}" for name, t in choices if t is not None)
+def _generator_choices(fiber: AlgebraPresentation, gen) -> list[Element | None]:
+    """None, then every nonzero target of degree deg(g) - 1 down to 0, that
+    is on page 2 up to deg(g) + 1."""
+    return [None, *(elem for q in range(gen.degree - 1, -1, -1)
+                    for elem in fiber.nonzero_elements(q))]
 
 
 def enumerate_assignments(fiber: AlgebraPresentation) -> list[DifferentialAssignment]:
@@ -319,25 +321,19 @@ def enumerate_assignments(fiber: AlgebraPresentation) -> list[DifferentialAssign
 
     Each generator is either a permanent cocycle or carries one nonzero
     target on one admissible page; first-quadrant bidegrees bound the page
-    by ``deg(g) + 1``.  The label is the paper's letter on the Wall fiber
-    (``wall.case_label``), else the list of nonzero differentials, else Z.
+    by ``deg(g) + 1``.
     """
     if fiber.top_degree is None:
         raise SpectralModelError("the fiber algebra must be finite-dimensional")
     pools = [_generator_choices(fiber, g) for g in fiber.generators]
-    assignments = []
-    for combo in itertools.product(*pools):
-        choices = tuple((g.name, tgt) for g, tgt in zip(fiber.generators, combo))
-        label = wall.case_label(fiber, choices) or describe_differentials(choices) or "Z"
-        assignments.append(DifferentialAssignment(fiber, choices, label))
-    return assignments
+    return [DifferentialAssignment(fiber, combo) for combo in itertools.product(*pools)]
 
 
 # -- the derivation -------------------------------------------------------------
 
 
 def differential_value(fiber: AlgebraPresentation,
-                       active: dict[str, TransgressionTarget],
+                       active: dict[str, Element],
                        mono: Mono) -> Element:
     """Leibniz value of the page differential on one fiber monomial.
 
@@ -350,7 +346,7 @@ def differential_value(fiber: AlgebraPresentation,
     business in ``extend_by_leibniz``.
 
     Terms are XORed into one set by the same ``reduce_mono`` calls that
-    ``fiber.element([lowered]) * tgt.element`` makes, on any presentation.
+    ``fiber.element([lowered]) * target`` makes, on any presentation.
     """
     return Element(fiber, frozenset(_leibniz_terms(fiber, active, mono)))
 
@@ -366,21 +362,21 @@ def _leibniz_terms(fiber, active, mono: Mono) -> set[Mono]:
             lowered = list(mono)
             lowered[idx] = e - 1
             for a in fiber.reduce_mono(tuple(lowered)):
-                for b in tgt.element.terms:
+                for b in tgt.terms:
                     terms ^= fiber.reduce_mono(tuple(map(add, a, b)))
     return terms
 
 
-def _derivation_matrix(fiber, active, q: int) -> list[int]:
+def _derivation_matrix(fiber, active, r: int, q: int) -> list[int]:
     """The derivation from row q to row q + 1 - r in E_2 coordinates: the
     images of the basis of row q, each the bit mask of its ``_leibniz_terms``.
 
-    ``active`` is nonempty: it holds the generators transgressing on page r.
+    ``active`` holds the targets of the generators transgressing on page r.
     The terms are distinct, so their bits add up without carries.  A term
     of any other degree than ``q + 1 - r`` is not in the index and raises
     ``KeyError``.
     """
-    index = fiber.basis_index(q + 1 - next(iter(active.values())).page)
+    index = fiber.basis_index(q + 1 - r)
     return [sum(1 << index[m] for m in _leibniz_terms(fiber, active, mono))
             for mono in fiber.degree_basis(q)]
 
@@ -391,7 +387,7 @@ class PageDifferential:
     ``degree_basis(q)``."""
 
     r: int
-    active: dict[str, TransgressionTarget]
+    active: dict[str, Element]
     row_matrices: dict[int, list[int]]     # q -> images of the basis of row q
 
     def apply(self, q: int, vec: int) -> int:
@@ -406,10 +402,6 @@ def extend_by_leibniz(page: Page, assignment: DifferentialAssignment) -> PageDif
     must agree; a mismatch is raised as ``LeibnizInconsistency`` whose
     finding holds the violated relation and the two disagreeing term sets.
 
-    Before the guard, every target must lie in fiber degree
-    ``deg(g) + 1 - r``; a hand-built target of another degree is refused
-    with ``SpectralModelError``.  Enumerated assignments always pass.
-
     The guard sees only the generators active on ``page.r``.  A relation
     broken by a later differential passes here and is reported on that later
     page: Q(1, 4) case A (``d_3(d) = t^3``) passes on E_2 and is rejected on
@@ -422,12 +414,6 @@ def extend_by_leibniz(page: Page, assignment: DifferentialAssignment) -> PageDif
     active = assignment.active_at(r)
     if not active:
         return PageDifferential(r, active, {})   # no row moves: turn_page keeps every cell
-    for name, tgt in active.items():
-        due = fiber.generators[fiber.gen_index[name]].degree + 1 - r
-        if tgt.element.degree not in (None, due):   # a zero target is refused below
-            raise SpectralModelError(
-                f"declared target {tgt.render()} for {name} on page {r} "
-                f"must lie in fiber degree {due}")
     for rule in fiber.rules:
         lhs_terms = _leibniz_terms(fiber, active, rule.lhs)
         rhs_terms: set[Mono] = set()
@@ -439,28 +425,28 @@ def extend_by_leibniz(page: Page, assignment: DifferentialAssignment) -> PageDif
                 values=(frozenset(lhs_terms), frozenset(rhs_terms))))
     _check_targets_alive(page, active)
     # below row r - 1 the target degree q + 1 - r is negative, so no row moves
-    rows = {q: _derivation_matrix(fiber, active, q)
+    rows = {q: _derivation_matrix(fiber, active, r, q)
             for q in range(r - 1, fiber.top_degree + 1)}
     return PageDifferential(r, active, rows)
 
 
-def _check_targets_alive(page: Page, active: dict[str, TransgressionTarget]):
-    fiber = page.fiber
+def _check_targets_alive(page: Page, active: dict[str, Element]):
+    fiber, r = page.fiber, page.r
     for name, tgt in active.items():
         # a generator that is zero in the algebra has no degree of its own
         gen_deg = fiber.generators[fiber.gen_index[name]].degree
         if not _is_nonzero_class(page, 0, gen_deg, fiber.gen(name)):
             raise SpectralModelError(
-                f"generator {name} no longer represents a class on page {page.r}")
-        if not _is_nonzero_class(page, tgt.page, tgt.element.degree, tgt.element):
+                f"generator {name} no longer represents a class on page {r}")
+        if not _is_nonzero_class(page, r, tgt.degree, tgt):
             raise SpectralModelError(
-                f"declared target {tgt.render()} for {name} is not a "
-                f"nonzero class on page {page.r}")
+                f"declared target {_transgression_text(r, tgt)} for {name} is not a "
+                f"nonzero class on page {r}")
 
 
 def _is_nonzero_class(page: Page, p: int, q: int, elem: Element) -> bool:
     cell = page.cell(p, q)
-    if cell is None:    # also a zero element, whose degree q is None
+    if cell is None:
         return False
     vec = page.fiber.to_vector(elem, q)
     return cell.cycles.contains(vec) and not cell.boundaries.contains(vec)

@@ -20,21 +20,21 @@ _LETTERS = {
 }
 
 
-def case_label(fiber: AlgebraPresentation, choices) -> str | None:
+def case_label(fiber: AlgebraPresentation, targets) -> str | None:
     """The paper's case letter for one assignment, or None off the Wall fiber.
 
-    ``choices`` holds ``(generator name, target or None)`` in generator
-    order.  The suffix of a transgressing d is its target's bit mask over
-    ``degree_basis(1)`` on page 2, or 4 on page 3, where the x- and c-free
-    case is A.
+    ``targets`` holds one transgression target or None per generator, in
+    generator order.  The suffix of a transgressing d is its target's bit
+    mask over ``degree_basis(1)`` (page 2), or 4 for the unit (page 3),
+    where the x- and c-free case is A.
     """
     if [(g.name, g.degree) for g in fiber.generators] != [("x", 1), ("c", 1), ("d", 2)]:
         return None
-    (_, x), (_, c), (_, d) = choices
+    x, c, d = targets
     permanent, transgressing = _LETTERS[(x is not None, c is not None)]
     if d is None:
         return permanent
-    label = f"{transgressing}{4 if d.page == 3 else fiber.to_vector(d.element, 1)}"
+    label = f"{transgressing}{4 if d.degree == 0 else fiber.to_vector(d, 1)}"
     return "A" if label == "B4" else label
 
 

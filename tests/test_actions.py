@@ -327,6 +327,63 @@ class TestBredonObstruction:
                 assert outcome is None or outcome.startswith("inapplicable"), (l, outcome)
 
 
+def first_basis_witness(pres, cand):
+    """Reference: the first monomial m of ``degree_basis(top/2)`` with
+    m*T(m) != 0, as a witness, or None."""
+    for mono in pres.degree_basis(pres.top_degree // 2):
+        a = pres.element([mono])
+        product = a * apply_candidate(pres, cand, a)
+        if product:
+            return ObstructionWitness(a, product)
+    return None
+
+
+class TestBredonWitnessIsABasisMonomial:
+    """The walk's first witness is the first basis monomial with a witness.
+
+    Let T be an involutive ring map that fixes A_top, top = 2l, and let a
+    and b have degree l.  Then b*T(a) lies in A_top, so b*T(a) =
+    T(b*T(a)) = T(b)*T(T(a)) = T(b)*a.  Hence q(a) = a*T(a) is additive:
+    q(a + b) = q(a) + q(b) + b*T(a) + a*T(b), and the two cross terms are
+    equal, so they cancel over GF(2).  ``bredon_obstruction`` walks
+    ``nonzero_elements(l)``, the bit masks 1, 2, 3, ... over
+    ``degree_basis(l)``.  Let M be the first mask with q != 0.  If M had two
+    bits or more, it would be the sum of its lowest bit and the rest, two
+    smaller masks on which q vanishes, and q(M) would be 0.  So M is one
+    bit: the first basis monomial m with m*T(m) != 0.  If there is no such
+    m, q vanishes on a basis and so on all of A_l, and the walk finds no
+    witness.
+    """
+
+    def test_actions_grid_records(self):
+        reached = witnesses = 0
+        for report in actions_grid_reports():
+            for r in report.records:
+                if r.stage not in (None, "fixed_point_obstruction") or \
+                        r.reason.startswith("fixed-point obstruction inapplicable"):
+                    continue    # eliminated earlier, or the walk did not run
+                reached += 1
+                expected = first_basis_witness(report.presentation, r.candidate)
+                assert r.witness == expected, (report.m, report.n, r.candidate.describe())
+                if expected is None:
+                    assert r.reason == "no obstruction found (not eliminated)"
+                witnesses += expected is not None
+        assert (reached, witnesses) == (264, 60)
+
+    @given(monomial_presentations().filter(
+        lambda p: p.top_degree <= 12 and p.top_degree % 2 == 0))
+    @settings(max_examples=40, deadline=None)
+    def test_random_monomial_presentations(self, pres):
+        for cand in enumerate_candidates(pres):
+            if not (is_ring_endomorphism(pres, cand)[0] and is_involutive(pres, cand)):
+                continue
+            try:
+                witness = bredon_obstruction(pres, cand)
+            except ObstructionInapplicable:
+                continue
+            assert witness == first_basis_witness(pres, cand), cand.describe()
+
+
 class TestTrivialAboveDegreeOne:
     q13 = wall_presentation(1, 3)
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import difflib
 import functools
@@ -27,7 +28,6 @@ from orbitcoh.spectral import (
     Page,
     PageDifferential,
     SpectralModelError,
-    TransgressionTarget,
     analyze_all,
     build_e2,
     differential_value,
@@ -56,11 +56,19 @@ def page_r(fiber, assignment, r):
             return page
 
 
+TWO_GENERATOR_SHAPES = tuple(itertools.product((1, 2, 3), (2, 3, 4), repeat=2))
+
+
+def two_generator_fiber(d1, e1, d2, e2, names=("a", "b")):
+    """F2[a, b]/(a^e1, b^e2) with |a| = d1 and |b| = d2."""
+    a, b = names
+    return AlgebraPresentation([(a, d1), (b, d2)], [((e1, 0), ()), ((0, e2), ())],
+                               name=f"{a}{d1}^{e1} {b}{d2}^{e2}")
+
+
 def two_generator_fibers():
     """The 81 fibers F2[a, b]/(a^e, b^f) with |a|, |b| in 1..3 and e, f in 2..4."""
-    for d1, e1, d2, e2 in itertools.product((1, 2, 3), (2, 3, 4), repeat=2):
-        yield AlgebraPresentation([("a", d1), ("b", d2)], [((e1, 0), ()), ((0, e2), ())],
-                                  name=f"a{d1}^{e1} b{d2}^{e2}")
+    return [two_generator_fiber(*shape) for shape in TWO_GENERATOR_SHAPES]
 
 
 def spheres():
@@ -120,19 +128,25 @@ class TestEnumeration:
 
     def test_degree_one_generators_get_single_target(self):
         q13 = wall_presentation(1, 3)
-        by_id = assignments_by_id(q13)
-        e = by_id["E"]
-        tgt = e.target("x")
-        assert tgt.page == 2 and tgt.render() == "t^2"
-        assert e.target("c") is None and e.target("d") is None
+        e = assignments_by_id(q13)["E"]
+        assert e.targets == (q13.unit(), None, None)
+        assert e.active_pages() == (2,) and e.active_at(2) == {"x": q13.unit()}
+        assert e.describe() == "d2(x)=t^2"
 
     def test_b_subcases_match_degree_one_targets(self):
         q13 = wall_presentation(1, 3)
         by_id = assignments_by_id(q13)
-        assert by_id["B1"].target("d").render() == "t^2*x"
-        assert by_id["B2"].target("d").render() == "t^2*c"
-        assert by_id["B3"].target("d").render() == "t^2*(c + x)"
-        assert by_id["A"].target("d").render() == "t^3"
+        assert by_id["B1"].describe() == "d2(d)=t^2*x"
+        assert by_id["B2"].describe() == "d2(d)=t^2*c"
+        assert by_id["B3"].describe() == "d2(d)=t^2*(c + x)"
+        assert by_id["A"].describe() == "d3(d)=t^3"
+
+    def test_a_hand_built_assignment_reads_like_an_enumerated_one(self):
+        q13 = wall_presentation(1, 3)
+        hand = DifferentialAssignment(q13, (None, None, q13.unit()))
+        assert hand == assignments_by_id(q13)["A"]
+        assert (hand.case_id, hand.describe(), hand.active_pages()) == ("A", "d3(d)=t^3", (3,))
+        assert run_case(q13, 8, hand).outcome == "survives"
 
     def test_sphere_has_two_assignments(self):
         for n in range(1, 6):
@@ -217,7 +231,7 @@ class TestLeibnizGuard:
 
 
 class TestTargetGuards:
-    """The two ``SpectralModelError`` guards, checked where they fire."""
+    """The guards a declared target meets, checked where they fire."""
 
     def test_dead_declared_target(self):
         # d_2(a) = t^2 kills t^2 and with it t^3 = t * t^2 by F2[t]-linearity
@@ -229,48 +243,30 @@ class TestTargetGuards:
         assert str(err.value) == "declared target t^3 for b is not a nonzero class on page 3"
 
     @staticmethod
-    def hand_built(fiber, name, page, elem):
-        """One generator transgressing to ``t^page * elem``, the others permanent."""
-        choices = tuple((g.name, TransgressionTarget(page, elem) if g.name == name else None)
-                        for g in fiber.generators)
-        return DifferentialAssignment(fiber, choices, "hand-built")
+    def hand_built(fiber, name, elem):
+        """One generator transgressing to ``elem``, the others permanent."""
+        return DifferentialAssignment(
+            fiber, tuple(elem if g.name == name else None for g in fiber.generators))
 
-    @pytest.mark.parametrize("page", [2, 3])
-    def test_zero_target_is_refused(self, page):
-        # a zero target has no degree, so no cell holds it: refused, not a crash
-        q13 = wall_presentation(1, 3)
-        asgn = self.hand_built(q13, "d", page, q13.zero())
-        with pytest.raises(SpectralModelError) as err:
-            run_case(q13, 8, asgn)
-        assert str(err.value) == (f"declared target t^{page}*0 for d is not a "
-                                  f"nonzero class on page {page}")
-
-    @pytest.mark.parametrize("page, due", [(2, 2), (3, 1)])
-    def test_target_of_the_wrong_degree_on_a_sphere(self, page, due):
-        # on S^3, d_r(a) lands in fiber degree 4 - r, so t^2 and t^3 alone do not fit
+    def test_the_unit_as_target_of_s3_is_d4(self):
+        # the target's degree fixes the page: d_r(a) lands in degree 4 - r
         s3 = sphere_presentation(3)
-        asgn = self.hand_built(s3, "a", page, s3.unit())
-        expected = (f"declared target t^{page} for a on page {page} "
-                    f"must lie in fiber degree {due}")
-        with pytest.raises(SpectralModelError) as err:
-            run_case(s3, 3, asgn)
-        assert str(err.value) == expected
-        with pytest.raises(SpectralModelError) as err:
-            extend_by_leibniz(page_r(s3, asgn, page), asgn)
-        assert str(err.value) == expected
+        asgn = self.hand_built(s3, "a", s3.unit())
+        assert asgn.active_pages() == (4,) and asgn.case_id == "d4(a)=t^4"
+        verdict = run_case(s3, 3, asgn)
+        assert verdict.outcome == "survives"
+        assert verdict.e_infinity.total_dimensions(3) == [1, 1, 1, 1]
 
-    def test_target_degree_is_checked_before_the_relation_guard(self):
-        # with the unit as target, d_2(b^3) = t^2*b^2 would break b^3 = 0, but
-        # the unit is not in degree 1, where d_2 of the degree-2 generator b lands
+    @pytest.mark.parametrize("target, page", [("1", 3), ("a", 2)])
+    def test_relation_guard_on_the_page_the_target_implies(self, target, page):
+        # d_r(b^3) = t^r*b^2*target breaks b^3 = 0 on the page of the target
         fiber = AlgebraPresentation([("a", 1), ("b", 2)], [((2, 0), ()), ((0, 3), ())])
-        asgn = self.hand_built(fiber, "b", 2, fiber.unit())
-        assert differential_value(fiber, asgn.active_at(2), (0, 3))
-        with pytest.raises(SpectralModelError) as err:
-            extend_by_leibniz(build_e2(fiber), asgn)
-        assert str(err.value) == "declared target t^2 for b on page 2 must lie in fiber degree 1"
-        # a target of the right degree reaches the guard: d_2(b^3) = t^2*a*b^2
-        with pytest.raises(LeibnizInconsistency):
-            extend_by_leibniz(build_e2(fiber), self.hand_built(fiber, "b", 2, fiber.gen("a")))
+        asgn = self.hand_built(fiber, "b", fiber.parse_element(target))
+        assert asgn.active_pages() == (page,)
+        assert differential_value(fiber, asgn.active_at(page), (0, 3))
+        with pytest.raises(LeibnizInconsistency) as err:
+            extend_by_leibniz(page_r(fiber, asgn, page), asgn)
+        assert err.value.finding.page == page
 
     def test_image_that_is_not_a_cycle(self):
         # d_2(b) = t^2*a, so b is no longer a cycle, yet d_3(a*b) = t^3*b
@@ -286,21 +282,31 @@ class TestTargetGuards:
 class TestAssignmentChecks:
     """A hand-built ``DifferentialAssignment`` is checked when it is built."""
 
-    @pytest.mark.parametrize("names", [("x", "c", "e"), ("x", "c"), ("x", "x", "d"),
-                                       ("c", "x", "d")])
-    def test_choices_name_the_generators_once_each_in_order(self, names):
-        # unknown, missing, repeated and reordered names
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_one_target_per_generator(self, count):
         q13 = wall_presentation(1, 3)
-        with pytest.raises(ValueError, match="not the fiber's generators"):
-            DifferentialAssignment(q13, tuple((name, None) for name in names), "hand-built")
+        with pytest.raises(ValueError, match=f"^{count} targets for 3 generators$"):
+            DifferentialAssignment(q13, (None,) * count)
 
-    @pytest.mark.parametrize("name, page, elem", [("x", 1, "x"), ("d", 4, "1")])
-    def test_target_page_lies_in_2_to_degree_plus_1(self, name, page, elem):
-        # no page runs d_1, so d_1(x) = t*x would be dropped without a word,
-        # and d_4 of the degree-2 generator d leaves the first quadrant
+    def test_a_target_of_another_presentation(self):
         q13 = wall_presentation(1, 3)
-        with pytest.raises(ValueError, match=f"on page {page}, outside 2"):
-            TestTargetGuards.hand_built(q13, name, page, q13.parse_element(elem))
+        other = wall_presentation(1, 3).unit()
+        with pytest.raises(ValueError, match="^the target of d belongs to another presentation$"):
+            TestTargetGuards.hand_built(q13, "d", other)
+
+    def test_a_zero_target(self):
+        # a zero target has no degree and so no page
+        q13 = wall_presentation(1, 3)
+        with pytest.raises(ValueError, match="^the target of d is zero$"):
+            TestTargetGuards.hand_built(q13, "d", q13.zero())
+
+    @pytest.mark.parametrize("name, elem", [("x", "x"), ("d", "x*c")])
+    def test_target_degree_lies_in_0_to_degree_minus_1(self, name, elem):
+        # d_1(x) = t*x would be on page 1, which no page runs, and
+        # d_1(d) = t*x*c too
+        q13 = wall_presentation(1, 3)
+        with pytest.raises(ValueError, match=f"^the target of {name} has degree"):
+            TestTargetGuards.hand_built(q13, name, q13.parse_element(elem))
 
 
 class TestTurnPage:
@@ -354,8 +360,7 @@ class TestRunCase:
         q13 = wall_presentation(1, 3)
         verdict = run_case(q13, 8, assignments_by_id(q13)["A"])
         assert verdict.outcome == "survives"
-        tot = [verdict.e_infinity.total_dimension(j) for j in range(9)]
-        assert tot == [1, 3, 4, 3, 2, 3, 4, 3, 1]
+        assert verdict.e_infinity.total_dimensions(8) == [1, 3, 4, 3, 2, 3, 4, 3, 1]
 
     def test_q13_case_b1_eliminated_by_vanishing(self):
         q13 = wall_presentation(1, 3)
@@ -371,7 +376,7 @@ class TestRunCase:
         survivor = verdicts["d2(a)=t^2"]
         assert survivor.outcome == "survives"
         e_inf = survivor.e_infinity
-        assert [e_inf.total_dimension(j) for j in range(2)] == [1, 1]
+        assert e_inf.total_dimensions(1) == [1, 1]
         assert e_inf.dim(0, 0) == 1 and e_inf.dim(1, 0) == 1 and e_inf.dim(2, 0) == 0
 
     @pytest.mark.parametrize("fiber, cases",
@@ -433,7 +438,7 @@ class TestAnalyzeAll:
         assert len(survivors) == 1
         assert survivors[0].case_id == f"d{n + 1}(a)=t^{n + 1}"
         e_inf = survivors[0].e_infinity
-        assert [e_inf.total_dimension(j) for j in range(n + 1)] == [1] * (n + 1)
+        assert e_inf.total_dimensions(n) == [1] * (n + 1)
 
 
 class TestStructuralProperties:
@@ -501,11 +506,10 @@ class TestStructuralProperties:
             images = [diff.apply(q, rep) for rep in cell.reps]
             from orbitcoh.gf2 import rank as gf2_rank
             ranks[p + q] = ranks.get(p + q, 0) + gf2_rank(images)
-        nxt = turn_page(page, diff)
-        for j in range(0, 12):
-            before = page.total_dimension(j)
-            after = nxt.total_dimension(j)
-            assert after == before - ranks.get(j, 0) - ranks.get(j - 1, 0)
+        before = page.total_dimensions(11)
+        after = turn_page(page, diff).total_dimensions(11)
+        for j in range(12):
+            assert after[j] == before[j] - ranks.get(j, 0) - ranks.get(j - 1, 0)
 
 
 class TestGridRendering:
@@ -533,7 +537,7 @@ class TestGridRendering:
                                   [(tuple(2 * (j == i) for j in range(10)), ())
                                    for i in range(10)])
         q13 = wall_presentation(1, 3)
-        runs = [(ext, TestTargetGuards.hand_built(ext, "a0", 2, ext.unit())),
+        runs = [(ext, TestTargetGuards.hand_built(ext, "a0", ext.unit())),
                 (q13, assignments_by_id(q13)["B1"])]
         for fiber, asgn in runs:
             for page in pages(fiber, asgn):
@@ -640,10 +644,9 @@ class TestStableColumns:
                 if verdict.outcome != "survives":
                     continue
                 survivors += 1
-                e_inf = verdict.e_infinity
-                for j in range(dim_x + 1, 2 * (dim_x + top) + 1):
-                    assert e_inf.total_dimension(j) == 0, (fiber.name, asgn.case_id, j)
-                chi = euler(e_inf.total_dimension(j) for j in range(dim_x + 1))
+                totals = verdict.e_infinity.total_dimensions(2 * (dim_x + top))
+                assert not any(totals[dim_x + 1:]), (fiber.name, asgn.case_id, totals)
+                chi = euler(totals[:dim_x + 1])
                 assert 2 * chi == chi_fiber, (fiber.name, asgn.case_id)
         assert survivors == 135     # 124 two-generator, 3 Wall, 8 spheres
 
@@ -689,7 +692,7 @@ def differential_value_by_elements(fiber, active, mono):
         if e % 2:
             lowered = list(mono)
             lowered[idx] = e - 1
-            total = total + fiber.element([tuple(lowered)]) * tgt.element
+            total = total + fiber.element([tuple(lowered)]) * tgt
     return total
 
 
@@ -705,27 +708,27 @@ def assert_differential_values_match(fiber, actives, up_to):
         for mono in monos:
             assert differential_value(fiber, active, mono) == \
                 differential_value_by_elements(fiber, active, mono), (
-                    fiber.name, {n: t.render() for n, t in active.items()}, mono)
+                    fiber.name, {n: str(t) for n, t in active.items()}, mono)
 
 
-def assert_derivation_matrices_match(fiber, actives):
+def assert_derivation_matrices_match(fiber, pages_and_actives):
     """Row by row, the bit masks equal ``to_vector`` of each basis
     monomial's ``differential_value``: the path they replaced."""
-    for active in actives:
-        r = next(iter(active.values())).page
+    for r, active in pages_and_actives:
         for q in range(fiber.top_degree + 1):
             expected = [fiber.to_vector(differential_value(fiber, active, mono), q + 1 - r)
                         for mono in fiber.degree_basis(q)]
-            assert _derivation_matrix(fiber, active, q) == expected, (fiber.name, q)
+            assert _derivation_matrix(fiber, active, r, q) == expected, (fiber.name, q)
 
 
 def every_active_dict(fiber):
-    """The distinct generator-to-target dicts of one page, over all assignments."""
+    """The distinct (page, generator-to-target dict) pairs over all
+    assignments."""
     found = {}
     for asgn in enumerate_assignments(fiber):
         for r in asgn.active_pages():
             active = asgn.active_at(r)
-            found[tuple(active.items())] = active
+            found[(r, tuple(active.items()))] = (r, active)
     return list(found.values())
 
 
@@ -739,14 +742,14 @@ class TestDifferentialValueShortcut:
         ids=lambda fiber: fiber.name)
     def test_wall_and_dold(self, fiber):
         # the Wall rule c^(m+1) = c^m * x has a nonzero right-hand side
-        assert_differential_values_match(fiber, every_active_dict(fiber),
-                                         fiber.top_degree + 2)
+        assert_differential_values_match(
+            fiber, [active for _, active in every_active_dict(fiber)], fiber.top_degree + 2)
 
     @given(monomial_presentations().filter(lambda p: p.top_degree <= 12))
     @settings(max_examples=60, deadline=None)
     def test_random_monomial_presentations(self, fiber):
-        assert_differential_values_match(fiber, every_active_dict(fiber),
-                                         fiber.top_degree + 2)
+        assert_differential_values_match(
+            fiber, [active for _, active in every_active_dict(fiber)], fiber.top_degree + 2)
 
     @pytest.mark.parametrize(
         "fiber",
@@ -765,9 +768,8 @@ class TestDifferentialValueShortcut:
         # d_2 of a degree-1 generator lands in degree 0, so a degree-1 target
         # gives terms that degree_basis(0) does not index
         q13 = wall_presentation(1, 3)
-        active = {"x": TransgressionTarget(2, q13.gen("c"))}
         with pytest.raises(KeyError):
-            _derivation_matrix(q13, active, 1)
+            _derivation_matrix(q13, {"x": q13.gen("c")}, 2, 1)
 
     def test_non_confluent_presentation(self):
         # the presentation of test_algebra's test_conflicting_rules_reported:
@@ -776,8 +778,7 @@ class TestDifferentialValueShortcut:
         assert bad.check_confluence() is not None
         # differential_value reads no bidegree, so targets of any degree
         # exercise more products than the unit alone
-        targets = [TransgressionTarget(2, elem) for q in range(3)
-                   for elem in bad.nonzero_elements(q)]
+        targets = [elem for q in range(3) for elem in bad.nonzero_elements(q)]
         actives = [dict.fromkeys(names, tgt) for tgt in targets
                    for names in (("x",), ("c",), ("x", "c"))]
         assert_differential_values_match(bad, actives, 6)
@@ -872,8 +873,7 @@ def verdict_rows(fibers):
                 yield (fiber.name, asgn.case_id, type(exc).__name__, str(exc))
                 continue
             page = verdict.e_infinity
-            totals = None if page is None else [
-                page.total_dimension(j) for j in range(page.stable + top + 1)]
+            totals = None if page is None else page.total_dimensions(page.stable + top)
             yield (fiber.name, asgn.case_id, verdict.outcome, verdict.reason,
                    verdict.detail, totals)
 
@@ -923,6 +923,25 @@ def test_golden_verdicts_table():
     assert not diff, diff
 
 
+def verdict_multiset(fiber):
+    """How often each (outcome, reason, E_inf totals) of ``verdict_rows``
+    occurs, without what names a generator: the case label, the detail and
+    a refusal's message, so a refusal counts by its exception type."""
+    return collections.Counter(
+        row[2] if len(row) == 4 else (row[2], row[3], row[5] and tuple(row[5]))
+        for row in verdict_rows([fiber]))
+
+
+def test_generator_names_and_order_move_no_verdict():
+    # each two-generator fiber F2[a, b]/(a^e, b^f) again, as F2[u, v]/(u^f, v^e)
+    # with u = b and v = a (ROADMAP N)
+    assert len(TWO_GENERATOR_SHAPES) == 81
+    for d1, e1, d2, e2 in TWO_GENERATOR_SHAPES:
+        fiber = two_generator_fiber(d1, e1, d2, e2)
+        swapped = two_generator_fiber(d2, e2, d1, e1, names=("u", "v"))
+        assert verdict_multiset(swapped) == verdict_multiset(fiber), fiber.name
+
+
 def decided_verdicts(fibers):
     """``(fiber, verdict)`` for every assignment ``run_case`` decides, dim_x
     the top degree; the refused ones are pinned by the golden digest."""
@@ -961,8 +980,8 @@ class TestGuardFindings:
                 *_, last = pages(fiber, asgn)
                 dim_x = top = fiber.top_degree
                 end = max(dim_x + 1, dim_x + top, last.stable + top)
-                assert found.degrees == tuple(j for j in range(dim_x + 1, end + 1)
-                                              if last.total_dimension(j))
+                totals = last.total_dimensions(end)
+                assert found.degrees == tuple(j for j in range(dim_x + 1, end + 1) if totals[j])
             else:
                 assert found.guard == "square_zero"
                 seen = []

@@ -10,18 +10,18 @@ from orbitcoh.spectral import enumerate_assignments
 from orbitcoh.wall import case_label, is_identity_or_twist
 
 
-def reference_case_label(fiber, choices):
+def reference_case_label(fiber, targets):
     """The case letters as nested branches, the form they had inside the
-    spectral engine; ``choices`` maps generator names to targets."""
-    x_on = choices["x"] is not None
-    c_on = choices["c"] is not None
-    d_choice = choices["d"]
-    if d_choice is None:
+    spectral engine; ``targets`` maps generator names to targets."""
+    x_on = targets["x"] is not None
+    c_on = targets["c"] is not None
+    d_target = targets["d"]
+    if d_target is None:
         d_key = None
-    elif d_choice.page == 3:
+    elif fiber.generators[fiber.gen_index["d"]].degree + 1 - d_target.degree == 3:
         d_key = 4
     else:
-        d_key = fiber.to_vector(d_choice.element, 1)
+        d_key = fiber.to_vector(d_target, 1)
     if not x_on and not c_on:
         if d_key is None:
             return "Z"
@@ -48,8 +48,9 @@ class TestCaseLabel:
         # Q(0, n) has c = x in degree 1, and Q(m, 0) has d = 0
         fiber = wall_presentation(m, n)
         for asgn in enumerate_assignments(fiber):
-            label = case_label(fiber, asgn.choices)
-            assert label == reference_case_label(fiber, dict(asgn.choices))
+            label = case_label(fiber, asgn.targets)
+            names = [g.name for g in fiber.generators]
+            assert label == reference_case_label(fiber, dict(zip(names, asgn.targets)))
             assert asgn.case_id == label
 
     def test_q01_labels(self):
@@ -62,7 +63,7 @@ class TestCaseLabel:
             [("c", 1), ("x", 1), ("d", 2)],
             [((2, 0, 0), ()), ((0, 2, 0), [(1, 1, 0)]), ((0, 0, 4), ())])
         asgns = enumerate_assignments(fiber)
-        assert all(case_label(fiber, a.choices) is None for a in asgns)
+        assert all(case_label(fiber, a.targets) is None for a in asgns)
         assert [a.case_id for a in asgns[:2]] == ["Z", "d2(d)=t^2*c"]
         assert all(a.case_id.startswith("d") for a in asgns[1:])
 
@@ -71,7 +72,7 @@ class TestCaseLabel:
                 [("x", 1), ("c", 1), ("d", 4)], [((2, 0, 0), ()), ((0, 2, 0), ()),
                                                  ((0, 0, 2), ())])):
             for asgn in enumerate_assignments(fiber):
-                assert case_label(fiber, asgn.choices) is None
+                assert case_label(fiber, asgn.targets) is None
 
 
 class TestIdentityOrTwist:
