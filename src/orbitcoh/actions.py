@@ -1,8 +1,9 @@
 """Classification of induced involutions on a finite cohomology ring.
 
-A candidate action is a degree-preserving assignment of images to the ring
-generators.  Candidates are filtered cheapest-first: ring-homomorphism and
-bijectivity constraints, then involutivity, then Bredon's fixed-point
+A candidate action carries its presentation and one image per generator, of
+the generator's degree (``EndoCandidate``), so each filter takes the
+candidate alone.  Candidates are filtered cheapest-first: ring-homomorphism
+and bijectivity constraints, then involutivity, then Bredon's fixed-point
 obstruction (if the top degree is 2l and T is the identity in degree 2l, a
 class ``a`` of degree l with ``a * T(a) != 0`` forces a fixed point, so no
 *free* involution can induce the action).  ``classify_free_actions`` is the
@@ -28,15 +29,32 @@ class ObstructionInapplicable(ValueError):
 
 @dataclass(frozen=True)
 class EndoCandidate:
-    """Generator images of a candidate action, in generator-list order."""
+    """One image per generator of ``pres``, in generator order.
 
-    images: tuple[tuple[str, Element], ...]
+    Checked when built (``ValueError``): one image per generator, each an
+    element of ``pres`` that is zero or has its generator's degree.  Names
+    are read from ``pres``."""
+
+    pres: AlgebraPresentation
+    targets: tuple[Element, ...]
+
+    def __post_init__(self):
+        gens = self.pres.generators
+        if len(self.targets) != len(gens):
+            raise ValueError(f"{len(self.targets)} images for {len(gens)} generators")
+        for g, img in zip(gens, self.targets):
+            if not isinstance(img, Element) or img.algebra is not self.pres:
+                raise ValueError(f"the image of {g.name} is not an element of the presentation")
+            if img and img.degree != g.degree:
+                raise ValueError(f"the image of {g.name} has degree {img.degree}, not {g.degree}")
+
+    @property
+    def images(self) -> tuple[tuple[str, Element], ...]:
+        """``(name, image)`` per generator, in generator order."""
+        return tuple(zip(self.pres.gen_index, self.targets))
 
     def image(self, name: str) -> Element:
-        for gname, elem in self.images:
-            if gname == name:
-                return elem
-        raise KeyError(name)
+        return self.targets[self.pres.gen_index[name]]
 
     def describe(self) -> str:
         return ", ".join(f"{name} -> {elem}" for name, elem in self.images)
@@ -75,8 +93,7 @@ class ActionReport:
     def unresolved(self) -> tuple[CandidateRecord, ...]:
         """Survivors other than the identity and the c -> c + x twist
         (``wall.is_identity_or_twist``): the undecided cases."""
-        return tuple(r for r in self.survivors()
-                     if not wall.is_identity_or_twist(self.presentation, r.candidate))
+        return tuple(r for r in self.survivors() if not wall.is_identity_or_twist(r.candidate))
 
     @property
     def classification_complete(self) -> bool:
@@ -88,18 +105,17 @@ def enumerate_candidates(pres: AlgebraPresentation) -> list[EndoCandidate]:
     """All assignments of nonzero equal-degree images to the generators."""
     if pres.top_degree is None:
         raise ValueError("candidate enumeration needs a finite algebra")
-    pools = [[(g.name, e) for e in pres.nonzero_elements(g.degree)]
-             for g in pres.generators]
-    return [EndoCandidate(images) for images in itertools.product(*pools)]
+    pools = [pres.nonzero_elements(g.degree) for g in pres.generators]
+    return [EndoCandidate(pres, targets) for targets in itertools.product(*pools)]
 
 
-def apply_candidate(pres: AlgebraPresentation, cand: EndoCandidate,
-                    elem_or_mono) -> Element:
+def apply_candidate(cand: EndoCandidate, elem_or_mono) -> Element:
     """Image of an element (or a raw monomial) under the candidate map.
 
     A raw monomial needs one integer exponent >= 0 per generator
     (``AlgebraPresentation.check_mono``), and an element must belong to
-    ``pres``."""
+    ``cand.pres``."""
+    pres = cand.pres
     if isinstance(elem_or_mono, Element):
         if elem_or_mono.algebra is not pres:
             raise ValueError("elements belong to different presentations")
@@ -109,15 +125,14 @@ def apply_candidate(pres: AlgebraPresentation, cand: EndoCandidate,
     total = pres.zero()
     for mono in monos:
         term = pres.unit()
-        for (name, img), e in zip(cand.images, mono):
+        for img, e in zip(cand.targets, mono):
             if e:
                 term = term * img ** e
         total = total + term
     return total
 
 
-def is_ring_endomorphism(pres: AlgebraPresentation,
-                         cand: EndoCandidate) -> tuple[bool, str | None]:
+def is_ring_endomorphism(cand: EndoCandidate) -> tuple[bool, str | None]:
     """True when every relation maps to zero and the map is bijective.
 
     Bijectivity is checked only in the generator degrees, in increasing
@@ -127,54 +142,54 @@ def is_ring_endomorphism(pres: AlgebraPresentation,
     first to fail; a surjective endomorphism of a finite-dimensional space
     is bijective.  The degree reported is the smallest where T fails.
     """
+    pres = cand.pres
     for rule in pres.rules:
         rhs = Element(pres, rule.rhs)
-        lhs_img = apply_candidate(pres, cand, rule.lhs)
-        rhs_img = apply_candidate(pres, cand, rhs)
+        lhs_img = apply_candidate(cand, rule.lhs)
+        rhs_img = apply_candidate(cand, rhs)
         if lhs_img != rhs_img:
             return False, (f"relation {pres.mono_str(rule.lhs)} = {rhs} maps to "
                            f"{lhs_img} != {rhs_img}")
     for q in sorted({g.degree for g in pres.generators}):
         basis = pres.degree_basis(q)
-        cols = [pres.to_vector(apply_candidate(pres, cand, m), q) for m in basis]
+        cols = [pres.to_vector(apply_candidate(cand, m), q) for m in basis]
         if gf2.rank(cols) < len(basis):
             return False, f"not bijective in degree {q}"
     return True, None
 
 
-def is_involutive(pres: AlgebraPresentation, cand: EndoCandidate) -> bool:
+def is_involutive(cand: EndoCandidate) -> bool:
     """True when the candidate composed with itself fixes every generator."""
-    return all(apply_candidate(pres, cand, img) == pres.gen(name)
+    return all(apply_candidate(cand, img) == cand.pres.gen(name)
                for name, img in cand.images)
 
 
-def _fixes_degree(pres: AlgebraPresentation, cand: EndoCandidate, q: int) -> bool:
+def _fixes_degree(cand: EndoCandidate, q: int) -> bool:
     """True when the candidate fixes every basis monomial of degree ``q``."""
-    return all(apply_candidate(pres, cand, mono) == pres.element([mono])
-               for mono in pres.degree_basis(q))
+    return all(apply_candidate(cand, mono) == cand.pres.element([mono])
+               for mono in cand.pres.degree_basis(q))
 
 
-def bredon_obstruction(pres: AlgebraPresentation,
-                       cand: EndoCandidate) -> ObstructionWitness | None:
+def bredon_obstruction(cand: EndoCandidate) -> ObstructionWitness | None:
     """Search degree-l classes ``a`` with ``a * T(a) != 0`` under Bredon's
     hypotheses: the top degree is even, 2l, and T is the identity in degree 2l.
     A witness certifies that the candidate cannot come from a free involution."""
+    pres = cand.pres
     top = pres.top_degree
     if top is None:
         raise ObstructionInapplicable("the algebra is not finite-dimensional")
     if top % 2:
         raise ObstructionInapplicable(f"top degree {top} is odd")
-    if not _fixes_degree(pres, cand, top):
+    if not _fixes_degree(cand, top):
         raise ObstructionInapplicable(f"candidate is not the identity in degree {top}")
     for a in pres.nonzero_elements(top // 2):
-        product = a * apply_candidate(pres, cand, a)
+        product = a * apply_candidate(cand, a)
         if product:
             return ObstructionWitness(a, product)
     return None
 
 
-def is_trivial_in_degrees_ge_2(pres: AlgebraPresentation,
-                               cand: EndoCandidate) -> bool:
+def is_trivial_in_degrees_ge_2(cand: EndoCandidate) -> bool:
     """True when the candidate fixes every basis monomial of degree >= 2.
 
     Only the degrees 2..D+2 are checked, D the largest generator degree;
@@ -188,22 +203,23 @@ def is_trivial_in_degrees_ge_2(pres: AlgebraPresentation,
     confluent).  By induction on the degree, T(m) = T(a)·T(m/a) =
     a·(m/a) = m.  T need not map the relations to zero.
     """
+    pres = cand.pres
     bound = max((g.degree for g in pres.generators), default=0) + 2
     if pres.top_degree is not None:
         bound = min(bound, pres.top_degree)
-    return all(_fixes_degree(pres, cand, q) for q in range(2, bound + 1))
+    return all(_fixes_degree(cand, q) for q in range(2, bound + 1))
 
 
-def _record(pres: AlgebraPresentation, cand: EndoCandidate) -> CandidateRecord:
+def _record(cand: EndoCandidate) -> CandidateRecord:
     """Run the filters cheapest-first and record the first that eliminates ``cand``."""
-    ok, reason = is_ring_endomorphism(pres, cand)
+    ok, reason = is_ring_endomorphism(cand)
     if not ok:
         return CandidateRecord(cand, "ring_endomorphism", reason, None, None)
-    if not is_involutive(pres, cand):
+    if not is_involutive(cand):
         return CandidateRecord(cand, "involutivity",
                                "composed with itself, the map is not the identity", None, None)
     try:
-        witness = bredon_obstruction(pres, cand)
+        witness = bredon_obstruction(cand)
     except ObstructionInapplicable as exc:
         reason = f"fixed-point obstruction inapplicable: {exc}"
     else:
@@ -213,7 +229,7 @@ def _record(pres: AlgebraPresentation, cand: EndoCandidate) -> CandidateRecord:
                 f"a = {witness.middle_class} has a * T(a) = {witness.product} != 0",
                 witness, None)
         reason = "no obstruction found (not eliminated)"
-    return CandidateRecord(cand, None, reason, None, is_trivial_in_degrees_ge_2(pres, cand))
+    return CandidateRecord(cand, None, reason, None, is_trivial_in_degrees_ge_2(cand))
 
 
 def classify_free_actions(m: int, n: int) -> ActionReport:
@@ -225,5 +241,5 @@ def classify_free_actions(m: int, n: int) -> ActionReport:
     if n % 2 == 0:
         raise ValueError("classification requires odd n")
     pres = wall_presentation(m, n)
-    records = tuple(_record(pres, cand) for cand in enumerate_candidates(pres))
+    records = tuple(_record(cand) for cand in enumerate_candidates(pres))
     return ActionReport(m, n, pres, records)

@@ -38,7 +38,7 @@ def case_label(fiber: AlgebraPresentation, targets) -> str | None:
     return "A" if label == "B4" else label
 
 
-def is_identity_or_twist(pres: AlgebraPresentation, cand) -> bool:
+def is_identity_or_twist(cand) -> bool:
     """True when the candidate action fixes x and d and sends c to c or c + x."""
-    x, c, d = (pres.gen(name) for name in ("x", "c", "d"))
+    x, c, d = (cand.pres.gen(name) for name in ("x", "c", "d"))
     return cand.image("x") == x and cand.image("d") == d and cand.image("c") in (c, c + x)

@@ -1,7 +1,9 @@
 import itertools
+import operator
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -653,3 +655,54 @@ class TestTextFormat:
     @settings(max_examples=50, deadline=None)
     def test_roundtrip_random_monomial_presentations(self, pres):
         assert_round_trip(pres)
+
+
+def groebner_series(pres, up_to):
+    """Reference for ``poincare_series(up_to)`` from sympy's reduced Groebner
+    basis over GF(2), without the rewrite system.
+
+    Over GF(2) graded-commutative means commutative, so the algebra is
+    F2[gens]/(rules).  The ideal is homogeneous for the weighted grading, so
+    its Groebner basis is too, in any monomial order, and the standard
+    monomials (those no leading monomial divides) of weighted degree q are a
+    basis of A_q.  The reference holds for a confluent presentation only.
+    """
+    syms = sympy.symbols(f"g0:{len(pres.generators)}")
+
+    def monomial(mono):
+        return sympy.Mul(*(sym ** e for sym, e in zip(syms, mono)))
+
+    polys = [sympy.Add(monomial(rule.lhs), *map(monomial, rule.rhs)) for rule in pres.rules]
+    basis = sympy.groebner(polys, *syms, modulus=2, order="grevlex")
+    leading = [poly.monoms(order="grevlex")[0] for poly in basis.polys]
+    degrees = [g.degree for g in pres.generators]
+    series = [0] * (up_to + 1)
+    for mono in itertools.product(*(range(up_to // d + 1) for d in degrees)):
+        q = sum(map(operator.mul, mono, degrees))
+        if q <= up_to and not any(all(map(operator.ge, mono, lead)) for lead in leading):
+            series[q] += 1
+    return series
+
+
+def assert_series_matches_groebner(pres):
+    top = pres.top_degree
+    series = groebner_series(pres, top + 2)
+    assert series == pres.poincare_series(top + 2), pres.name
+    assert max(q for q, dim in enumerate(series) if dim) == top, pres.name
+
+
+class TestGroebnerOracle:
+    """The engine's Poincare series and top degree against sympy's (ROADMAP P)."""
+
+    @pytest.mark.parametrize(
+        "pres",
+        [wall_presentation(m, n) for m in range(6) for n in range(10)]
+        + [dold_presentation(m, n) for m in range(5) for n in range(4)] + spheres(),
+        ids=lambda pres: pres.name)
+    def test_builtin_presentations(self, pres):
+        assert_series_matches_groebner(pres)
+
+    @given(monomial_presentations().filter(lambda p: p.top_degree <= 12))
+    @settings(max_examples=60, deadline=None)
+    def test_monomial_presentations(self, pres):
+        assert_series_matches_groebner(pres)

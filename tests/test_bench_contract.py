@@ -1,11 +1,14 @@
-"""The benchmark's traced run wraps orbitcoh functions by attribute name.
+"""What the benchmark reads of orbitcoh, by name.
 
 ``bench/layers.py`` lists ``(owner, attr)`` pairs and the tracer replaces
-``vars(owner)[attr]``; a rename under ``src/`` would break the traced run
+``vars(owner)[attr]``, and ``bench/workloads.py``'s correctness gate reads
+report and record fields; a rename under ``src/`` would break the benchmark
 without failing any other test.
 """
 
+import dataclasses
 import importlib.util
+import sys
 from pathlib import Path
 
 from orbitcoh import actions, spectral
@@ -17,6 +20,7 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 def load_bench(name):
     spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module    # a dataclass looks its module up there
     spec.loader.exec_module(module)
     return module
 
@@ -52,3 +56,14 @@ def test_traced_run_counts_turned_pages_and_restores_every_span():
     metrics = layers.per_layer_metrics(tracer)
     assert metrics["spectral.turn_page.calls"][0] > 0
     assert metrics["spectral.cells_turned"][0] > 0
+
+
+def test_actions_gate_reads_images_and_status():
+    # the gate finds the identity among the records' ``candidate.images``
+    # pairs and reads its ``status``
+    workloads = load_bench("workloads")
+    report = actions.classify_free_actions(1, 3)
+    assert workloads._check_actions(report) == []
+    eliminated = tuple(dataclasses.replace(r, stage="ring_endomorphism") for r in report.records)
+    assert workloads._check_actions(dataclasses.replace(report, records=eliminated)) == [
+        "Q(1,3): the identity candidate was eliminated"]

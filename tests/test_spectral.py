@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from test_actions import monomial_presentations
+from test_actions import monomial_presentations, renamed
 
 from orbitcoh import gf2, spectral
 from orbitcoh.algebra import (
@@ -940,6 +940,13 @@ def test_generator_names_and_order_move_no_verdict():
         fiber = two_generator_fiber(d1, e1, d2, e2)
         swapped = two_generator_fiber(d2, e2, d1, e1, names=("u", "v"))
         assert verdict_multiset(swapped) == verdict_multiset(fiber), fiber.name
+    # each Wall fiber Q(m <= 5, n <= 7) with x, c, d renamed to u, v, w and
+    # nothing reordered: a new order can make the rule c^(m+1) = c^m*x
+    # increase (ROADMAP M)
+    for m, n in itertools.product(range(6), range(8)):
+        fiber = wall_presentation(m, n)
+        uvw = renamed(fiber, ("u", "v", "w"))
+        assert verdict_multiset(uvw) == verdict_multiset(fiber), fiber.name
 
 
 def decided_verdicts(fibers):

@@ -35,7 +35,8 @@ def reference_case_label(fiber, targets):
     return f"{letter[1]}{d_key}"
 
 
-def reference_is_identity_or_twist(pres, cand):
+def reference_is_identity_or_twist(cand):
+    pres = cand.pres
     if cand.image("x") != pres.gen("x") or cand.image("d") != pres.gen("d"):
         return False
     return cand.image("c") in (pres.gen("c"), pres.gen("c") + pres.gen("x"))
@@ -80,12 +81,11 @@ class TestIdentityOrTwist:
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_matches_reference(self, m, n):
         report = classify_free_actions(m, n)
-        pres = report.presentation
         for record in report.records:
-            assert is_identity_or_twist(pres, record.candidate) == \
-                reference_is_identity_or_twist(pres, record.candidate)
+            assert is_identity_or_twist(record.candidate) == \
+                reference_is_identity_or_twist(record.candidate)
         expected = tuple(r for r in report.survivors()
-                         if not reference_is_identity_or_twist(pres, r.candidate))
+                         if not reference_is_identity_or_twist(r.candidate))
         assert report.unresolved == expected
         assert report.classification_complete == (not report.unresolved)
 
