@@ -6,8 +6,13 @@ candidate alone.  Candidates are filtered cheapest-first: ring-homomorphism
 and bijectivity constraints, then involutivity, then Bredon's fixed-point
 obstruction (if the top degree is 2l and T is the identity in degree 2l, a
 class ``a`` of degree l with ``a * T(a) != 0`` forces a fixed point, so no
-*free* involution can induce the action).  ``classify_free_actions`` is the
-one Wall entry point; the filters are generic.
+*free* involution can induce the action).  ``classify(pres)`` runs them on
+every candidate of a finite presentation, and ``classify_free_actions`` is its
+Wall wrapper.
+
+The ring check is shared across a presentation's candidates: a relation's
+verdict depends only on the images of the generators it reads, so it is
+computed once per presentation and per set of those images.
 
 A surviving candidate is only "not eliminated": no implemented obstruction
 kills it.  Realization by an actual free involution is outside the reach of
@@ -17,6 +22,7 @@ these cohomological filters.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 
 from . import gf2, wall
@@ -132,8 +138,24 @@ def apply_candidate(cand: EndoCandidate, elem_or_mono) -> Element:
     return total
 
 
+# Relation verdicts by presentation, shared by every candidate on it.  A key
+# is a rule's index and the image terms of the generators the rule reads; the
+# value is None when the relation holds, else the reason text.  Neither holds
+# an Element: an element holds its presentation, which would keep the weak key
+# alive for good.
+_RELATION_VERDICTS = weakref.WeakKeyDictionary()
+
+
 def is_ring_endomorphism(cand: EndoCandidate) -> tuple[bool, str | None]:
     """True when every relation maps to zero and the map is bijective.
+
+    Each relation's verdict is computed once per presentation and per set of
+    images of the generators the relation reads, those with a nonzero
+    exponent in its left side or in a right-hand monomial, and then shared
+    by every candidate that gives them the same images.  This is sound
+    because ``apply_candidate`` multiplies only the images of exponents > 0,
+    so T(lhs) and T(rhs) depend on those generators alone, and a
+    presentation does not change.
 
     Bijectivity is checked only in the generator degrees, in increasing
     order (graded Nakayama lemma): A_q is spanned by the generators of
@@ -143,13 +165,21 @@ def is_ring_endomorphism(cand: EndoCandidate) -> tuple[bool, str | None]:
     is bijective.  The degree reported is the smallest where T fails.
     """
     pres = cand.pres
-    for rule in pres.rules:
-        rhs = Element(pres, rule.rhs)
-        lhs_img = apply_candidate(cand, rule.lhs)
-        rhs_img = apply_candidate(cand, rhs)
-        if lhs_img != rhs_img:
-            return False, (f"relation {pres.mono_str(rule.lhs)} = {rhs} maps to "
-                           f"{lhs_img} != {rhs_img}")
+    verdicts = _RELATION_VERDICTS.get(pres)
+    if verdicts is None:
+        verdicts = _RELATION_VERDICTS[pres] = {}
+    for i, rule in enumerate(pres.rules):
+        reads = (any(exps) for exps in zip(rule.lhs, *rule.rhs))
+        key = (i, *(img.terms for img, read in zip(cand.targets, reads) if read))
+        if key not in verdicts:
+            rhs = Element(pres, rule.rhs)
+            lhs_img = apply_candidate(cand, rule.lhs)
+            rhs_img = apply_candidate(cand, rhs)
+            verdicts[key] = None if lhs_img == rhs_img else (
+                f"relation {pres.mono_str(rule.lhs)} = {rhs} maps to {lhs_img} != {rhs_img}")
+        reason = verdicts[key]
+        if reason is not None:
+            return False, reason
     for q in sorted({g.degree for g in pres.generators}):
         basis = pres.degree_basis(q)
         cols = [pres.to_vector(apply_candidate(cand, m), q) for m in basis]
@@ -232,6 +262,12 @@ def _record(cand: EndoCandidate) -> CandidateRecord:
     return CandidateRecord(cand, None, reason, None, is_trivial_in_degrees_ge_2(cand))
 
 
+def classify(pres: AlgebraPresentation) -> tuple[CandidateRecord, ...]:
+    """One record per candidate action on a finite presentation, in
+    ``enumerate_candidates`` order."""
+    return tuple(_record(cand) for cand in enumerate_candidates(pres))
+
+
 def classify_free_actions(m: int, n: int) -> ActionReport:
     """Filter all candidate actions on H*(Q(m, n)) for odd ``n``.
 
@@ -241,5 +277,4 @@ def classify_free_actions(m: int, n: int) -> ActionReport:
     if n % 2 == 0:
         raise ValueError("classification requires odd n")
     pres = wall_presentation(m, n)
-    records = tuple(_record(cand) for cand in enumerate_candidates(pres))
-    return ActionReport(m, n, pres, records)
+    return ActionReport(m, n, pres, classify(pres))

@@ -2,14 +2,16 @@ import collections
 import dataclasses
 import difflib
 import functools
+import gc
 import hashlib
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitcoh import gf2
+from orbitcoh import actions, gf2
 from orbitcoh.actions import (
     CandidateRecord,
     EndoCandidate,
@@ -17,6 +19,7 @@ from orbitcoh.actions import (
     ObstructionWitness,
     apply_candidate,
     bredon_obstruction,
+    classify,
     classify_free_actions,
     enumerate_candidates,
     is_involutive,
@@ -130,6 +133,13 @@ def renamed(pres, names):
     return AlgebraPresentation([(name, g.degree) for name, g in zip(names, pres.generators)],
                                [(rule.lhs, rule.rhs) for rule in pres.rules],
                                name=f"{pres.name} as {''.join(names)}")
+
+
+def rules_reversed(pres):
+    """``pres`` again with its rules listed in reverse order."""
+    return AlgebraPresentation(pres.generators,
+                               [(rule.lhs, rule.rhs) for rule in reversed(pres.rules)],
+                               name=f"{pres.name} with rules reversed")
 
 
 def assert_images_agree(cand):
@@ -300,6 +310,57 @@ class TestRingEndomorphism:
             assert is_ring_endomorphism(cand) == every_degree_ring_check(cand)
 
 
+class TestSharedRelationVerdicts:
+    """``is_ring_endomorphism`` computes a relation's verdict once per
+    presentation and per set of images of the generators the relation reads."""
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["rules", "rules_reversed"])
+    @pytest.mark.parametrize(
+        "build, m, n",
+        [(wall_presentation, m, n) for m in range(4) for n in (1, 3, 5)]
+        + [(dold_presentation, m, n) for m in range(4) for n in range(4)],
+        ids=lambda arg: getattr(arg, "__name__", str(arg)))
+    @given(st.data())
+    @settings(max_examples=2, deadline=None)
+    def test_shared_check_equals_unshared_in_any_order(self, build, m, n, reverse, data):
+        pres = build(m, n)      # fresh, so no verdict is shared yet
+        if reverse:
+            # Wall's c^(m+1) = c^m*x is then asked before x^2 = 0 pins the
+            # image of x, which it reads on its right side only
+            pres = rules_reversed(pres)
+        cands = enumerate_candidates(pres)
+        for i in data.draw(st.permutations(range(len(cands)))):
+            assert is_ring_endomorphism(cands[i]) == every_degree_ring_check(cands[i])
+
+    def test_table_does_not_keep_the_presentation_alive(self):
+        report = classify_free_actions(1, 3)
+        ref = weakref.ref(report.presentation)
+        candidates = enumerate_candidates(report.presentation)[:4]
+        for cand in candidates:
+            is_ring_endomorphism(cand)
+        assert report.presentation in actions._RELATION_VERDICTS
+        del report, candidates, cand
+        gc.collect()
+        assert ref() is None
+
+    def test_each_relation_is_evaluated_once_per_image(self, monkeypatch):
+        # on Q(2,33) x^2 = 0 reads x (3 images), c^3 = c^2*x reads c and x,
+        # and d^34 = 0 reads d (7 images); only candidates that pass the
+        # earlier relations ask the later ones
+        evaluated = collections.Counter()
+
+        def counting(cand, elem_or_mono):
+            if not isinstance(elem_or_mono, Element):
+                evaluated[elem_or_mono] += 1
+            return apply_candidate(cand, elem_or_mono)
+
+        pres = wall_presentation(2, 33)
+        monkeypatch.setattr(actions, "apply_candidate", counting)
+        for cand in enumerate_candidates(pres):
+            is_ring_endomorphism(cand)
+        assert [evaluated[rule.lhs] for rule in pres.rules] == [3, 3, 7]
+
+
 class TestInvolutive:
     def test_identity(self):
         q13 = wall_presentation(1, 3)
@@ -338,8 +399,7 @@ class TestInvolutivityStage:
         assert record.reason == "composed with itself, the map is not the identity"
 
     def test_stage_counts(self):
-        pres = exterior_on_three()
-        records = [_record(cand) for cand in enumerate_candidates(pres)]
+        records = classify(exterior_on_three())
         assert len(records) == 7 ** 3
         assert collections.Counter((r.stage, r.status) for r in records) == {
             ("ring_endomorphism", "eliminated"): 175,
@@ -608,6 +668,16 @@ class TestClassification:
         uvw = renamed(wall_presentation(m, n), ("u", "v", "w"))
         assert [(r.stage, r.trivial_in_degrees_ge_2)
                 for r in map(_record, enumerate_candidates(uvw))] == expected
+
+    @pytest.mark.parametrize("m", range(4))
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_classify_gives_the_wall_wrapper_records(self, m, n):
+        def rows(records):
+            return [(r.candidate.describe(), r.stage, r.reason, r.trivial_in_degrees_ge_2)
+                    for r in records]
+
+        assert rows(classify(wall_presentation(m, n))) == rows(
+            classify_free_actions(m, n).records)
 
     def test_status_is_read_from_stage(self):
         assert [f.name for f in dataclasses.fields(CandidateRecord)] == [

@@ -657,15 +657,13 @@ class TestTextFormat:
         assert_round_trip(pres)
 
 
-def groebner_series(pres, up_to):
-    """Reference for ``poincare_series(up_to)`` from sympy's reduced Groebner
-    basis over GF(2), without the rewrite system.
+def groebner_basis(pres):
+    """sympy's reduced Groebner basis over GF(2), in grevlex, of the ideal
+    that the rules of ``pres`` generate, and the map from an exponent tuple
+    to its sympy monomial.
 
     Over GF(2) graded-commutative means commutative, so the algebra is
-    F2[gens]/(rules).  The ideal is homogeneous for the weighted grading, so
-    its Groebner basis is too, in any monomial order, and the standard
-    monomials (those no leading monomial divides) of weighted degree q are a
-    basis of A_q.  The reference holds for a confluent presentation only.
+    F2[gens]/(rules).
     """
     syms = sympy.symbols(f"g0:{len(pres.generators)}")
 
@@ -673,7 +671,19 @@ def groebner_series(pres, up_to):
         return sympy.Mul(*(sym ** e for sym, e in zip(syms, mono)))
 
     polys = [sympy.Add(monomial(rule.lhs), *map(monomial, rule.rhs)) for rule in pres.rules]
-    basis = sympy.groebner(polys, *syms, modulus=2, order="grevlex")
+    return sympy.groebner(polys, *syms, modulus=2, order="grevlex"), monomial
+
+
+def groebner_series(pres, up_to):
+    """Reference for ``poincare_series(up_to)`` from sympy's reduced Groebner
+    basis over GF(2), without the rewrite system.
+
+    The ideal is homogeneous for the weighted grading, so its Groebner basis
+    is too, in any monomial order, and the standard monomials (those no
+    leading monomial divides) of weighted degree q are a basis of A_q.  The
+    reference holds for a confluent presentation only.
+    """
+    basis, _ = groebner_basis(pres)
     leading = [poly.monoms(order="grevlex")[0] for poly in basis.polys]
     degrees = [g.degree for g in pres.generators]
     series = [0] * (up_to + 1)
@@ -706,3 +716,41 @@ class TestGroebnerOracle:
     @settings(max_examples=60, deadline=None)
     def test_monomial_presentations(self, pres):
         assert_series_matches_groebner(pres)
+
+
+def basis_monomials(pres):
+    """Every basis monomial of ``pres``, degree by degree."""
+    return [mono for q in range(pres.top_degree + 1) for mono in pres.degree_basis(q)]
+
+
+def assert_products_congruent(pres, pairs):
+    """The engine's product of each pair (a, b) of basis monomials is
+    congruent to a*b: their sum lies in the ideal.  Remainders are not
+    compared, because the engine's weighted deglex order is none of sympy's
+    orders, so the two normal forms may differ."""
+    basis, monomial = groebner_basis(pres)
+    for a, b in pairs:
+        product = pres.element([a]) * pres.element([b])
+        assert basis.contains(
+            sympy.Add(monomial(_mono_mul(a, b)), *map(monomial, product.terms))), (
+            pres.name, a, b, str(product))
+
+
+class TestGroebnerNormalForm:
+    """Products of basis monomials against sympy's ideal membership (ROADMAP P)."""
+
+    @pytest.mark.parametrize(
+        "pres", [wall_presentation(m, n) for m in range(4) for n in range(6)],
+        ids=lambda pres: pres.name)
+    def test_wall_products(self, pres):
+        monos = basis_monomials(pres)
+        rng = random.Random(pres.name)
+        assert_products_congruent(pres, [(rng.choice(monos), rng.choice(monos))
+                                         for _ in range(20)])
+
+    @given(monomial_presentations().filter(lambda p: p.top_degree <= 12), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_monomial_presentations(self, pres, data):
+        monos = st.sampled_from(basis_monomials(pres))
+        assert_products_congruent(pres, data.draw(st.lists(st.tuples(monos, monos),
+                                                           min_size=1, max_size=10)))
