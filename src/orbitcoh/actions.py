@@ -108,10 +108,13 @@ class ActionReport:
 
 
 def enumerate_candidates(pres: AlgebraPresentation) -> list[EndoCandidate]:
-    """All assignments of nonzero equal-degree images to the generators."""
+    """Every choice of one image per generator: a nonzero element of its
+    degree, or 0 alone where the generator is zero in the algebra (c in
+    Dold's P(0, n)), since T(0) = 0."""
     if pres.top_degree is None:
         raise ValueError("candidate enumeration needs a finite algebra")
-    pools = [pres.nonzero_elements(g.degree) for g in pres.generators]
+    pools = [pres.nonzero_elements(g.degree) if pres.gen(g.name) else [pres.zero()]
+             for g in pres.generators]
     return [EndoCandidate(pres, targets) for targets in itertools.product(*pools)]
 
 

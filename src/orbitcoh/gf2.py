@@ -161,16 +161,16 @@ def subquotient(kernel: Subspace, image: Subspace) -> tuple[int, ...]:
     which signals an inconsistent differential upstream.  The returned
     vectors are an RREF basis of a complement of ``image`` inside ``kernel``:
     they vanish on the image's pivot coordinates, so their span meets the
-    image only in zero and representative choice is deterministic.
+    image only in zero and representative choice is deterministic.  There
+    are dim K - dim I of them: ``image.reduce`` is linear and zero exactly
+    on the image, which lies inside the kernel, so it maps the kernel onto
+    a space of that dimension.
     """
     if kernel.ambient_dim != image.ambient_dim:
         raise ValueError("kernel and image live in different ambient spaces")
     if not kernel.contains_subspace(image):
         raise ValueError("image is not contained in the kernel")
-    reps = Subspace.from_vectors(map(image.reduce, kernel.basis), kernel.ambient_dim)
-    if reps.dim != kernel.dim - image.dim:
-        raise AssertionError("coset representative count mismatch")
-    return reps.basis
+    return tuple(rref(map(image.reduce, kernel.basis)))
 
 
 def solve(rows, target: int) -> int | None:

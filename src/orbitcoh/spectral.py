@@ -13,10 +13,7 @@ E_2 coordinates, the classes still alive and the classes already hit.  A
 vector in row q is a bit mask over ``degree_basis(q)``, bit i for basis
 monomial i (see ``gf2``); the ``t^p`` factor is implicit.  A class is
 named by its canonical representative ``boundaries.reduce(v)``, so turning
-a page needs no coset basis: the new cycles are the cycles whose image
-reduces to zero modulo the target's boundaries.  They cost one elimination
-per moving cell, of the pairs (reduced image, cycle) together, which reads
-the kernel directly in E_2 coordinates.  Three guards are
+a page needs no coset basis (``turn_page``).  Three guards are
 *checked*, never assumed: compatibility of the derivation with every fiber
 relation, square zero, and representative independence.  The first two,
 and the vanishing bound that ``run_case`` applies to the limit page, record
@@ -30,9 +27,8 @@ its reason (``GUARD_REASONS``) are read from the finding.
 
 Only what d_r moves is recomputed, since E_{r+1} equals E_r where d_r is
 zero: after a page on which no generator transgresses, the next page shares
-its cells.  On an active page each stored cell has one successor: the
-same ``Cell`` where d_r keeps its cycles, else one checked cell, shared by
-every column that reads it and receives no image.
+its cells, and on an active page each stored cell has one successor,
+shared by every column that reads it and receives no image.
 
 Stable columns: every differential is linear over ``F2[t]``, and
 multiplication by ``t`` maps each column of E_2 isomorphically onto the
@@ -144,7 +140,9 @@ class Cell:
     """One bigraded spot: the subquotient ``cycles / boundaries``.
 
     Every vector is a bit mask over ``degree_basis(q)`` of the cell's row q,
-    and ``boundaries`` lies inside ``cycles``.
+    and ``boundaries`` lies inside ``cycles``: E_2's cells have no
+    boundaries, and ``turn_page``'s cycle, square-zero and coset checks keep
+    it so on every later page (the proof is in its docstring).
     """
 
     cycles: gf2.Subspace
@@ -460,24 +458,28 @@ def turn_page(page: Page, diff: PageDifferential) -> Page:
     ``0..S + r``: column p' takes its cycles from stored column
     ``min(p', S)`` and its incoming images from column ``p' - r <= S``.
 
-    A moving cell costs one elimination: the pairs (image reduced modulo
-    the target's boundaries, cycle) are eliminated together
-    (``gf2.kernel_vectors``), so the new cycles come out in E_2 coordinates
-    and one RREF makes them a ``Subspace``.  A cycle survives when its image
-    is zero modulo the target's boundaries.
-
-    Each stored cell gets one successor: itself where d_r leaves its cycles
-    alone, else a checked cell of the new cycles and the old boundaries.
-    Stored column c < S fills column c of the new page, and column S fills
-    S..S'; a position that receives images gets a checked cell of the
-    successor's cycles and its boundaries plus the images, and every other
-    position shares the successor itself.  S' = S + r, or S when d_r moves
-    nothing at all: then the page is E_r again.
+    A moving cell costs one elimination of the pairs (image reduced modulo
+    the target's boundaries, cycle) (``gf2.kernel_vectors``), which gives
+    the cycles whose image is a boundary, in E_2 coordinates.  Each stored
+    cell gets one successor: itself where d_r leaves its cycles alone, else
+    the cell of the new cycles and the old boundaries.  Stored column c < S
+    fills column c of the new page, and column S fills S..S'; a position
+    that receives images gets the successor's cycles and its boundaries
+    plus the images, and every other one shares the successor itself.
+    S' = S + r, or S when d_r moves nothing at all.
 
     Checks, in order, wherever d_r moves something: per cycle, its image is
-    a cycle and the square of the differential vanishes on it; images of
-    boundaries are boundaries (representative independence); and finally
-    image-inside-kernel for every changed cell.
+    a cycle and d_r of the image is a boundary (square zero); then images
+    of boundaries are boundaries (cosets).  They keep every new cell's
+    boundaries inside its cycles, as they are in the old cells:
+
+    - successor: reducing modulo the target's boundaries is linear and zero
+      exactly on them, and every boundary is a cycle, so "every boundary is
+      a new cycle" is the coset check, which has passed on the same cell;
+    - image of a cycle at (p, q): it is a cycle of the receiving cell, and
+      its own image is a boundary of the cell at ``min(p + 2r, S)``, the one
+      the receiving cell's successor was reduced against; so it is one of
+      the successor's cycles (the cell's own, where that did not move).
     """
     if diff.r != page.r:
         raise ValueError("differential was computed for a different page")
@@ -514,9 +516,9 @@ def turn_page(page: Page, diff: PageDifferential) -> Page:
                     raise SpectralModelError(
                         f"differential at ({p},{q}) is not well defined on cosets")
             if any(reduced):
-                successors[pos] = _checked_cell(gf2.Subspace.from_vectors(
+                successors[pos] = Cell(gf2.Subspace.from_vectors(
                     gf2.kernel_vectors(reduced, cell.cycles.basis), cell.cycles.ambient_dim),
-                    cell.boundaries, p, q, r)
+                    cell.boundaries)
             if nonzero:
                 images[pos] = nonzero
     new_stable = stable + r if images else stable
@@ -524,17 +526,9 @@ def turn_page(page: Page, diff: PageDifferential) -> Page:
     for (p, q), successor in successors.items():
         for column in range(p, new_stable + 1) if p == stable else (p,):
             incoming = images.get((column - r, q + r - 1))
-            new_cells[(column, q)] = successor if incoming is None else _checked_cell(
-                successor.cycles, successor.boundaries.add(incoming), column, q, r)
+            new_cells[(column, q)] = successor if incoming is None else Cell(
+                successor.cycles, successor.boundaries.add(incoming))
     return Page(page.fiber, r + 1, new_stable, new_cells)
-
-
-def _checked_cell(cycles: gf2.Subspace, boundaries: gf2.Subspace,
-                  p: int, q: int, r: int) -> Cell:
-    if not cycles.contains_subspace(boundaries):
-        raise SpectralModelError(
-            f"image is not contained in the kernel at {(p, q)} on page {r}")
-    return Cell(cycles, boundaries)
 
 
 # -- running cases ---------------------------------------------------------------

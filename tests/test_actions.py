@@ -4,6 +4,7 @@ import difflib
 import functools
 import gc
 import hashlib
+import itertools
 import weakref
 from pathlib import Path
 
@@ -180,6 +181,35 @@ class TestEnumeration:
         q13 = wall_presentation(1, 3)
         ident = candidate(q13, x="x", c="c", d="d")
         assert ident in enumerate_candidates(q13)
+
+    def test_a_zero_generator_has_the_one_image_zero(self):
+        # Dold's P(0, 2) is H*(CP^2): c^1 = 0, so T(c) = T(0) = 0 is forced.
+        # chi(CP^2) = 3 is odd, so no free involution induces even the
+        # identity, and Bredon's obstruction finds a = d.
+        cp2 = dold_presentation(0, 2)
+        [record] = classify(cp2)
+        assert record.candidate == candidate(cp2, c="c", d="d")
+        assert record.candidate.describe() == "c -> 0, d -> d"
+        assert (record.stage, str(record.witness.middle_class)) == (
+            "fixed_point_obstruction", "d")
+
+    def test_a_zero_generator_keeps_the_identity_of_cp3(self):
+        # CP^3 carries a free involution, and H^3 = 0 leaves Bredon's
+        # obstruction no class to try
+        cp3 = dold_presentation(0, 3)
+        [record] = classify(cp3)
+        assert record.candidate == candidate(cp3, c="c", d="d")
+        assert (record.stage, record.reason) == (None, "no obstruction found (not eliminated)")
+
+    def test_no_actions_grid_generator_is_zero(self):
+        # so the zero generator's one image changes no candidate there, and
+        # the actions_grid records (pinned below) stay as they were
+        for m, n in ACTIONS_GRID_PAIRS:
+            pres = wall_presentation(m, n)
+            assert all(pres.gen(g.name) for g in pres.generators), (m, n)
+            nonzero = [pres.nonzero_elements(g.degree) for g in pres.generators]
+            assert enumerate_candidates(pres) == [
+                EndoCandidate(pres, images) for images in itertools.product(*nonzero)]
 
 
 class TestCandidate:

@@ -207,6 +207,7 @@ class TestSubquotient:
             [combine(c, cycles.basis) for c in chosen], n)
         v = combine(data.draw(st.integers(0, 2 ** cycles.dim - 1)), cycles.basis)
         reps = subquotient(cycles, boundaries)
+        assert len(reps) == cycles.dim - boundaries.dim
         coords = solve(reps + boundaries.basis, v)
         assert coords is not None
         assert boundaries.reduce(v) == combine(coords & ((1 << len(reps)) - 1), reps)
