@@ -258,7 +258,9 @@ class AlgebraPresentation:
         with ``e_i <= min(cap_i, q // deg_i)`` reach, in one sweep over the
         reversed vectors in lexicographic order: ascending within each
         degree.  The caps rule out every pure-power left-hand side, so only
-        the others are tried."""
+        the others are tried.  A basis monomial is divisible by no
+        left-hand side, so it is its own normal form, and each is seeded
+        into ``reduce_mono``'s cache as such."""
         if q < 0:
             return ()
         cached = self._basis_cache.get(q)
@@ -275,6 +277,7 @@ class AlgebraPresentation:
                 rows[deg].append(mono)
         for deg, row in enumerate(rows):
             self._basis_cache.setdefault(deg, tuple(row))
+            self._nf_cache.update((mono, frozenset((mono,))) for mono in row)
         return self._basis_cache.setdefault(q, ())    # above every reachable degree
 
     def basis_index(self, q: int) -> dict[Mono, int]:

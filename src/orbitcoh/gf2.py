@@ -91,7 +91,10 @@ class Subspace:
 
     def reduce(self, v: int) -> int:
         """Canonical representative of ``v`` modulo this subspace: zero on
-        every row's pivot bit."""
+        every row's pivot bit.  A full subspace (every E_2 cycle space) has
+        every bit as a pivot, so ``v`` reduces to 0 without a pass."""
+        if len(self.basis) == self.ambient_dim:
+            return 0
         for row in self.basis:
             if v & row & -row:
                 v ^= row

@@ -28,7 +28,10 @@ its reason (``GUARD_REASONS``) are read from the finding.
 Only what d_r moves is recomputed, since E_{r+1} equals E_r where d_r is
 zero: after a page on which no generator transgresses, the next page shares
 its cells, and on an active page each stored cell has one successor,
-shared by every column that reads it and receives no image.
+shared by every column that reads it and receives no image.  Across the
+runs on one fiber, each page turn that succeeds is made once: assignments
+that agree on their targets up to page r share E_{r+1} through the fiber's
+page table.
 
 Stable columns: every differential is linear over ``F2[t]``, and
 multiplication by ``t`` maps each column of E_2 isomorphically onto the
@@ -112,6 +115,12 @@ class DifferentialAssignment:
         object.__setattr__(self, "_pages", tuple(
             None if tgt is None else g.degree + 1 - tgt.degree
             for g, tgt in zip(gens, self.targets)))
+
+    def prefix(self, r: int) -> tuple[frozenset[Mono] | None, ...]:
+        """The target term sets of the generators that transgress on pages
+        2..r, None for the others: what fixes E_{r+1}."""
+        return tuple([None if page is None or page > r else tgt.terms
+                      for tgt, page in zip(self.targets, self._pages)])
 
     def active_pages(self) -> tuple[int, ...]:
         return tuple(sorted({r for r in self._pages if r is not None}))
@@ -283,25 +292,33 @@ class CaseVerdict:
         return None if self.finding is None else self.finding.render()
 
 
-# E_2's cells by fiber, built once and shared by every run on that fiber.  The
-# value is the cells dict and not a Page: a Page holds its fiber, which would
-# keep the weak key alive for good.
-_E2_CELLS = weakref.WeakKeyDictionary()
+# Page turns by fiber, shared by every run on that fiber.  A key ``(r,
+# prefix)`` maps to E_{r+1} as ``(stable, cells)``; ``prefix`` holds the
+# target term sets of the generators that transgress on pages <= r, and None
+# for the others (``DifferentialAssignment.prefix``).  The root, key None,
+# holds E_2.  E_r and d_r fix the relation guard, the alive check, the
+# derivation matrices and the turn, and the key fixes both, so a hit skips
+# all four.  Only successful turns are stored: no finding and no refusal.
+# No value holds the fiber, which would keep the weak key alive for good:
+# only term sets, ``stable`` and cells.
+_PAGE_TABLE = weakref.WeakKeyDictionary()
 
 
 def build_e2(fiber: AlgebraPresentation) -> Page:
-    """Tensor-product starting page: column 0, which every column repeats."""
+    """Tensor-product starting page: column 0, which every column repeats.
+
+    It is the root of the fiber's page table, which the first call makes."""
     if fiber.top_degree is None:
         raise SpectralModelError("the fiber algebra must be finite-dimensional")
-    cells = _E2_CELLS.get(fiber)
-    if cells is None:
+    table = _PAGE_TABLE.get(fiber)
+    if table is None:
         cells = {}
         for q in range(fiber.top_degree + 1):
             ambient = len(fiber.degree_basis(q))
             if ambient:
                 cells[(0, q)] = Cell(gf2.Subspace.full(ambient), gf2.Subspace.zero(ambient))
-        _E2_CELLS[fiber] = cells
-    return Page(fiber, 2, 0, cells)
+        table = _PAGE_TABLE[fiber] = {None: (0, cells)}
+    return Page(fiber, 2, *table[None])
 
 
 # -- assignment enumeration ----------------------------------------------------
@@ -539,18 +556,28 @@ def pages(fiber: AlgebraPresentation, assignment: DifferentialAssignment):
 
     Beyond the last page every differential leaves the first quadrant.
     Raises ``LeibnizInconsistency`` on the page where the case dies.  Where
-    no generator transgresses, d_r = 0 and E_{r+1} shares E_r's cells.
+    no generator transgresses, d_r = 0 and E_{r+1} shares E_r's cells.  An
+    active page is looked up in the fiber's page table first, so runs on
+    one presentation turn each (page, prefix) once; a miss is turned and,
+    if the turn succeeds, stored.
     """
     if assignment.fiber is not fiber:
         raise ValueError("assignment belongs to a different fiber")
-    active_pages = assignment.active_pages()
     page = build_e2(fiber)
+    table = _PAGE_TABLE[fiber]     # build_e2 has made it
     yield page
     while page.r < fiber.top_degree + 2:
-        if page.r in active_pages:
-            page = turn_page(page, extend_by_leibniz(page, assignment))
+        r = page.r
+        if r in assignment._pages:      # some generator transgresses on page r
+            key = (r, assignment.prefix(r))
+            turned = table.get(key)
+            if turned is None:
+                page = turn_page(page, extend_by_leibniz(page, assignment))
+                table[key] = (page.stable, page.cells)
+            else:
+                page = Page(fiber, r + 1, *turned)
         else:
-            page = Page(fiber, page.r + 1, page.stable, page.cells)
+            page = Page(fiber, r + 1, page.stable, page.cells)
         yield page
 
 

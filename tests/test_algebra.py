@@ -288,6 +288,32 @@ class TestDegreeBasisSweep:
         queries = list(range(pres.top_degree + 3))
         assert_sweep_matches_walk(pres, queries[::-1] if descending else queries)
 
+    @staticmethod
+    def assert_basis_is_seeded_exactly(pres, up_to):
+        """Every basis monomial up to ``up_to`` sits in the normal-form cache
+        as itself, and no rule applies to it: the rewriting oracle has it
+        as its one result."""
+        for q in range(up_to + 1):
+            for mono in pres.degree_basis(q):
+                assert pres._nf_cache[mono] == frozenset([mono]), (pres.name, mono)
+                assert exhaustive_reduction_oracle(pres, mono) == {frozenset([mono])}
+
+    def test_basis_monomials_are_their_own_seeded_normal_forms(self):
+        for pres in self.fibers():
+            self.assert_basis_is_seeded_exactly(pres, pres.top_degree)
+        self.assert_basis_is_seeded_exactly(base_presentation(), 12)
+        # the seed reads no rule's right-hand side, so a non-confluent
+        # presentation is seeded as exactly
+        bad = AlgebraPresentation([("x", 1), ("c", 1)],
+                                  [((0, 2), [(1, 1)]), ((0, 2), ())])
+        assert bad.check_confluence() is not None
+        self.assert_basis_is_seeded_exactly(bad, 4)
+
+    @given(monomial_presentations())
+    @settings(max_examples=60, deadline=None)
+    def test_random_presentations_are_seeded_exactly(self, pres):
+        self.assert_basis_is_seeded_exactly(pres, pres.top_degree)
+
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
     def test_polynomial_ring(self, order):
         queries = list(range(13))

@@ -253,6 +253,39 @@ class TestSubspace:
             Subspace.from_vectors([vec([1, 0]), vec([0, 0, 1])], 2)
 
 
+def reduce_by_rows(space, v):
+    """``Subspace.reduce`` without its full-space shortcut: the row loop."""
+    for row in space.basis:
+        if v & row & -row:
+            v ^= row
+    return v
+
+
+@st.composite
+def wide_subspaces(draw):
+    """A subspace of GF(2)^n, n in 1..64, with a vector of that width: full
+    and zero spaces are drawn as often as random spans of up to n vectors."""
+    n = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(("full", "zero", "span")))
+    if kind == "full":
+        space = Subspace.full(n)
+    elif kind == "zero":
+        space = Subspace.zero(n)
+    else:
+        space = Subspace.from_vectors(
+            draw(st.lists(st.integers(0, 2 ** n - 1), max_size=n)), n)
+    return space, draw(st.integers(0, 2 ** n - 1))
+
+
+@given(wide_subspaces())
+@settings(max_examples=300)
+def test_reduce_matches_the_row_loop(drawn):
+    space, v = drawn
+    assert space.reduce(v) == reduce_by_rows(space, v)
+    # a span of n independent vectors is full, however it was drawn
+    assert (space.dim == space.ambient_dim) <= (space.reduce(v) == 0)
+
+
 class TestSolve:
     def test_unique_solution(self):
         rows = [vec([1, 1, 0]), vec([0, 1, 1])]

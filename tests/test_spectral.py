@@ -5,6 +5,7 @@ import functools
 import gc
 import hashlib
 import itertools
+import random
 import types
 import weakref
 from pathlib import Path
@@ -652,6 +653,21 @@ class TestStableColumns:
         assert survivors == 135     # 124 two-generator, 3 Wall, 8 spheres
 
 
+def fresh_copy(fiber):
+    """``fiber`` again as a new presentation: same generators, rules and name,
+    and a page table that starts cold."""
+    return AlgebraPresentation(fiber.generators,
+                               [(rule.lhs, rule.rhs) for rule in fiber.rules], name=fiber.name)
+
+
+def on_fresh_copy(fiber, asgn):
+    """``(copy, assignment)``: ``asgn``'s targets, term by term, on a fresh
+    copy of its fiber."""
+    copy = fresh_copy(fiber)
+    return copy, DifferentialAssignment(copy, tuple(
+        None if tgt is None else Element(copy, tgt.terms) for tgt in asgn.targets))
+
+
 class TestE2Cache:
     """E_2's cells are built once per fiber and shared by every run on it."""
 
@@ -681,6 +697,64 @@ class TestE2Cache:
             page.cells = {}
         with pytest.raises(dataclasses.FrozenInstanceError):
             page.cells[(0, 0)].boundaries = page.cells[(0, 0)].cycles
+
+
+class TestPageTable:
+    """Every successful page turn is stored once per fiber, E_2 at the root,
+    and shared by every run on it."""
+
+    def test_a_dropped_fibers_table_is_collected(self):
+        gc.collect()
+        before = len(spectral._PAGE_TABLE)
+        fiber = wall_presentation(1, 3)
+        analyze_all(fiber, fiber.top_degree)
+        assert len(spectral._PAGE_TABLE) == before + 1
+        turned = [cells for key, (_, cells) in spectral._PAGE_TABLE[fiber].items()
+                  if key is not None]
+        assert turned
+        cell_refs = [weakref.ref(cell) for cells in turned for cell in cells.values()]
+        del fiber, turned
+        gc.collect()
+        assert len(spectral._PAGE_TABLE) == before
+        assert all(ref() is None for ref in cell_refs)
+
+    def test_a_repeated_run_turns_no_page(self, monkeypatch):
+        calls = collections.Counter()
+        for name in ("extend_by_leibniz", "turn_page"):
+            def wrapper(*args, _inner=getattr(spectral, name), _name=name):
+                calls[_name] += 1
+                return _inner(*args)
+            monkeypatch.setattr(spectral, name, wrapper)
+        q13 = wall_presentation(1, 3)
+        asgn = assignments_by_id(q13)["A"]     # d_3(d) = t^3, one active page
+        first = list(pages(q13, asgn))
+        assert calls == {"extend_by_leibniz": 1, "turn_page": 1}
+        again = list(pages(q13, asgn))
+        assert calls == {"extend_by_leibniz": 1, "turn_page": 1}
+        assert [(p.r, p.stable) for p in again] == [(p.r, p.stable) for p in first]
+        assert all(a.cells is b.cells for a, b in zip(first, again))
+
+    def test_a_failed_turn_is_not_stored(self):
+        # Q(1, 4) case A passes E_2 and dies at E_3's relation guard; each run
+        # raises the same finding, and only the root is stored
+        q14 = wall_presentation(1, 4)
+        asgn = assignments_by_id(q14)["A"]
+        texts = []
+        for _ in range(2):
+            with pytest.raises(LeibnizInconsistency) as info:
+                list(pages(q14, asgn))
+            texts.append(str(info.value))
+        assert texts[0] == texts[1]
+        assert list(spectral._PAGE_TABLE[q14]) == [None]
+
+    def test_the_key_is_the_prefix_of_targets_up_to_the_page(self):
+        q13 = wall_presentation(1, 3)
+        asgn = assignments_by_id(q13)["B1"]     # d_2(d) = t^2*x
+        x_terms = q13.gen("x").terms
+        assert asgn.prefix(1) == (None, None, None)
+        assert asgn.prefix(2) == asgn.prefix(5) == (None, None, x_terms)
+        run_case(q13, q13.top_degree, asgn)
+        assert set(spectral._PAGE_TABLE[q13]) == {None, (2, (None, None, x_terms))}
 
 
 def differential_value_by_elements(fiber, active, mono):
@@ -961,6 +1035,67 @@ def decided_verdicts(fibers):
                 pass
 
 
+def page_record(fiber, asgn):
+    """Every page ``pages()`` yields, as ``(r, stable, cells)``, and the type
+    and text of what it raised, or None."""
+    seen = []
+    try:
+        for page in pages(fiber, asgn):
+            seen.append((page.r, page.stable, page.cells))
+    except (LeibnizInconsistency, SpectralModelError) as exc:
+        return seen, (type(exc).__name__, str(exc))
+    return seen, None
+
+
+def verdict_record(fiber, asgn):
+    """``run_case``'s verdict, dim_x the top degree, with its E_inf page as
+    ``(r, stable, cells)``; or the type and text of its refusal."""
+    try:
+        verdict = run_case(fiber, fiber.top_degree, asgn)
+    except SpectralModelError as exc:
+        return type(exc).__name__, str(exc)
+    page = verdict.e_infinity
+    return (verdict.case_id, verdict.outcome, verdict.reason, verdict.detail,
+            None if page is None else (page.r, page.stable, page.cells))
+
+
+def assert_runs_agree(fiber, rng):
+    """The verdicts and pages of every assignment of ``fiber`` are the same
+    when the assignments run on one shared presentation in enumeration
+    order, on another in shuffled order, and each on fresh copies, so that
+    whatever the page table holds, it holds what a cold run turns."""
+    count = len(enumerate_assignments(fiber))
+    shuffled = list(range(count))
+    rng.shuffle(shuffled)
+    runs = []
+    for order in (range(count), shuffled):
+        shared = fresh_copy(fiber)
+        assignments = enumerate_assignments(shared)
+        runs.append({i: (page_record(shared, assignments[i]),
+                         verdict_record(shared, assignments[i])) for i in order})
+    runs.append({i: (page_record(*on_fresh_copy(fiber, asgn)),
+                     verdict_record(*on_fresh_copy(fiber, asgn)))
+                 for i, asgn in enumerate(enumerate_assignments(fiber))})
+    for i in range(count):
+        assert runs[0][i] == runs[1][i] == runs[2][i], (fiber.name, i)
+
+
+class TestSharedPageTurns:
+    """Page turns shared across a fiber's assignments change no page and no
+    verdict."""
+
+    def test_golden_fibers(self):
+        rng = random.Random(27)
+        for fiber in golden_fibers():
+            assert_runs_agree(fiber, rng)
+
+    @given(monomial_presentations().filter(lambda p: p.top_degree <= 12),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_random_monomial_presentations(self, fiber, rng):
+        assert_runs_agree(fiber, rng)
+
+
 class TestGuardFindings:
     def test_fields_match_independent_computations(self):
         guards = set()
@@ -1206,13 +1341,16 @@ class TestTurnPageShortcut:
         assert turn_or_error(turn_page_by_every_cell, page, diff) == (None, error)
 
     def test_golden_pages_keep_boundaries_inside_cycles(self):
-        # pages share cells, so each distinct cell is checked once; the dict
-        # keeps the cells alive, so no id is reused
+        # each assignment runs on a fresh copy of its fiber, so that it turns
+        # its own pages rather than reading another's from the page table;
+        # within a run pages share cells, so each distinct cell is checked
+        # once, and the dict keeps the cells alive, so no id is reused
         checked = {}
         for fiber in golden_fibers():
             for asgn in enumerate_assignments(fiber):
+                copy, asgn = on_fresh_copy(fiber, asgn)
                 try:
-                    for page in pages(fiber, asgn):
+                    for page in pages(copy, asgn):
                         for cell in page.cells.values():
                             if id(cell) not in checked:
                                 checked[id(cell)] = cell
