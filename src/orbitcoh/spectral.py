@@ -26,12 +26,13 @@ more: its text is the finding's.  So is a ``CaseVerdict``: its outcome and
 its reason (``GUARD_REASONS``) are read from the finding.
 
 Only what d_r moves is recomputed, since E_{r+1} equals E_r where d_r is
-zero: after a page on which no generator transgresses, the next page shares
-its cells, and on an active page each stored cell has one successor,
-shared by every column that reads it and receives no image.  Across the
-runs on one fiber, each page turn that succeeds is made once: assignments
-that agree on their targets up to page r share E_{r+1} through the fiber's
-page table.
+zero: ``run_case`` steps only the pages where some generator transgresses,
+and ``pages()`` gives an idle page the previous page's cells.  On an active
+page each stored cell has one successor, shared by every column that reads
+it and receives no image, as E_2's rows of one width share one cell.
+Across the runs on one fiber, each page turn that succeeds is made once:
+assignments that agree on their targets up to page r share E_{r+1} through
+the fiber's page table.
 
 Stable columns: every differential is linear over ``F2[t]``, and
 multiplication by ``t`` maps each column of E_2 isomorphically onto the
@@ -97,6 +98,7 @@ class DifferentialAssignment:
     fiber: AlgebraPresentation
     targets: tuple[Element | None, ...]
     _pages: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
+    _active: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = self.fiber.generators
@@ -115,6 +117,7 @@ class DifferentialAssignment:
         object.__setattr__(self, "_pages", tuple(
             None if tgt is None else g.degree + 1 - tgt.degree
             for g, tgt in zip(gens, self.targets)))
+        object.__setattr__(self, "_active", tuple(sorted(set(self._pages) - {None})))
 
     def prefix(self, r: int) -> tuple[frozenset[Mono] | None, ...]:
         """The target term sets of the generators that transgress on pages
@@ -123,7 +126,7 @@ class DifferentialAssignment:
                       for tgt, page in zip(self.targets, self._pages)])
 
     def active_pages(self) -> tuple[int, ...]:
-        return tuple(sorted({r for r in self._pages if r is not None}))
+        return self._active
 
     def active_at(self, r: int) -> dict[str, Element]:
         """The targets of the generators transgressing on page r, by name."""
@@ -292,15 +295,12 @@ class CaseVerdict:
         return None if self.finding is None else self.finding.render()
 
 
-# Page turns by fiber, shared by every run on that fiber.  A key ``(r,
-# prefix)`` maps to E_{r+1} as ``(stable, cells)``; ``prefix`` holds the
-# target term sets of the generators that transgress on pages <= r, and None
-# for the others (``DifferentialAssignment.prefix``).  The root, key None,
-# holds E_2.  E_r and d_r fix the relation guard, the alive check, the
-# derivation matrices and the turn, and the key fixes both, so a hit skips
-# all four.  Only successful turns are stored: no finding and no refusal.
-# No value holds the fiber, which would keep the weak key alive for good:
-# only term sets, ``stable`` and cells.
+# Page turns by fiber, shared by every run on that fiber.  The root, key None,
+# holds E_2; a key ``(r, DifferentialAssignment.prefix(r))`` maps to E_{r+1}
+# as ``(stable, cells)``.  E_r and d_r fix the relation guard, the alive
+# check, the derivation matrices and the turn, and the key fixes both, so a
+# hit skips all four.  Only successful turns are stored, and no value holds
+# the fiber, which would keep the weak key alive for good.
 _PAGE_TABLE = weakref.WeakKeyDictionary()
 
 
@@ -312,11 +312,11 @@ def build_e2(fiber: AlgebraPresentation) -> Page:
         raise SpectralModelError("the fiber algebra must be finite-dimensional")
     table = _PAGE_TABLE.get(fiber)
     if table is None:
-        cells = {}
+        cells, by_width = {}, {}     # rows of one width share one cell
         for q in range(fiber.top_degree + 1):
-            ambient = len(fiber.degree_basis(q))
-            if ambient:
-                cells[(0, q)] = Cell(gf2.Subspace.full(ambient), gf2.Subspace.zero(ambient))
+            if k := len(fiber.degree_basis(q)):
+                cell = by_width.get(k) or Cell(gf2.Subspace.full(k), gf2.Subspace.zero(k))
+                cells[(0, q)] = by_width[k] = cell
         table = _PAGE_TABLE[fiber] = {None: (0, cells)}
     return Page(fiber, 2, *table[None])
 
@@ -551,15 +551,24 @@ def turn_page(page: Page, diff: PageDifferential) -> Page:
 # -- running cases ---------------------------------------------------------------
 
 
+def _page_step(table, assignment, r: int, stable: int, cells: dict) -> tuple[int, dict]:
+    """E_{r+1}'s ``(stable, cells)`` from E_r's, r an active page: read, or turned and stored."""
+    key = (r, assignment.prefix(r))
+    if (turned := table.get(key)) is None:
+        page = Page(assignment.fiber, r, stable, cells)
+        page = turn_page(page, extend_by_leibniz(page, assignment))
+        turned = table[key] = (page.stable, page.cells)
+    return turned
+
+
 def pages(fiber: AlgebraPresentation, assignment: DifferentialAssignment):
     """Yield E_2, E_3, ..., E_{top + 2} for one assignment, top the fiber's top degree.
 
     Beyond the last page every differential leaves the first quadrant.
     Raises ``LeibnizInconsistency`` on the page where the case dies.  Where
-    no generator transgresses, d_r = 0 and E_{r+1} shares E_r's cells.  An
-    active page is looked up in the fiber's page table first, so runs on
-    one presentation turn each (page, prefix) once; a miss is turned and,
-    if the turn succeeds, stored.
+    no generator transgresses, d_r = 0 and E_{r+1} shares E_r's cells; an
+    active page takes the same ``_page_step`` as ``run_case``.  This is for
+    inspection page by page: ``run_case`` builds no idle page.
     """
     if assignment.fiber is not fiber:
         raise ValueError("assignment belongs to a different fiber")
@@ -567,17 +576,10 @@ def pages(fiber: AlgebraPresentation, assignment: DifferentialAssignment):
     table = _PAGE_TABLE[fiber]     # build_e2 has made it
     yield page
     while page.r < fiber.top_degree + 2:
-        r = page.r
+        r, stable, cells = page.r, page.stable, page.cells
         if r in assignment._pages:      # some generator transgresses on page r
-            key = (r, assignment.prefix(r))
-            turned = table.get(key)
-            if turned is None:
-                page = turn_page(page, extend_by_leibniz(page, assignment))
-                table[key] = (page.stable, page.cells)
-            else:
-                page = Page(fiber, r + 1, *turned)
-        else:
-            page = Page(fiber, r + 1, page.stable, page.cells)
+            stable, cells = _page_step(table, assignment, r, stable, cells)
+        page = Page(fiber, r + 1, stable, cells)
         yield page
 
 
@@ -585,18 +587,26 @@ def run_case(fiber: AlgebraPresentation, dim_x: int,
              assignment: DifferentialAssignment) -> CaseVerdict:
     """Drive one assignment to its limit page and return its verdict.
 
-    A surviving case must satisfy the free-action vanishing bound: the total
-    complex is zero in every degree above ``dim_x``.  The totals are constant
-    from ``S + top`` on (column S stands for every later column), so degrees
-    ``dim_x + 1 .. max(dim_x + 1, dim_x + top, S + top)`` decide it.
+    It steps the active pages r <= top + 1.  E_{top + 2} must be zero in every
+    total degree above ``dim_x`` (the free-action vanishing bound); its totals
+    are constant from ``S + top`` on (column S stands for every later column),
+    so degrees ``dim_x + 1 .. max(dim_x + 1, dim_x + top, S + top)`` decide it.
     """
+    if assignment.fiber is not fiber:
+        raise ValueError("assignment belongs to a different fiber")
+    if fiber not in _PAGE_TABLE:
+        build_e2(fiber)     # makes the table, or refuses an infinite fiber
+    table = _PAGE_TABLE[fiber]
+    top = fiber.top_degree
+    stable, cells = table[None]
     try:
-        for page in pages(fiber, assignment):
-            pass
+        for r in assignment.active_pages():
+            if r <= top + 1:    # a later d_r leaves the first quadrant
+                stable, cells = _page_step(table, assignment, r, stable, cells)
     except LeibnizInconsistency as exc:
         return CaseVerdict(assignment, exc.finding)
-    top = fiber.top_degree
-    last = max(dim_x + 1, dim_x + top, page.stable + top)
+    page = Page(fiber, top + 2, stable, cells)
+    last = max(dim_x + 1, dim_x + top, stable + top)
     totals = page.total_dimensions(last)
     violations = [j for j in range(max(dim_x + 1, 0), last + 1) if totals[j] > 0]
     if not violations:

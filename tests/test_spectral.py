@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import dataclasses
 import difflib
 import functools
@@ -7,6 +8,7 @@ import hashlib
 import itertools
 import random
 import types
+import unittest.mock
 import weakref
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from orbitcoh import gf2, spectral
 from orbitcoh.algebra import (
     AlgebraPresentation,
     Element,
+    base_presentation,
     dold_presentation,
     sphere_presentation,
     wall_presentation,
@@ -118,6 +121,57 @@ class TestBuildE2:
         page = build_e2(point)
         assert all(page.dim(p, 0) == 1 for p in range(5))
         assert page.fiber.top_degree == 0
+
+    def test_an_infinite_fiber_is_refused(self):
+        # F2[t] has no top degree; each entry point refuses it before
+        # reading one
+        base = base_presentation()
+        asgn = DifferentialAssignment(base, (None,))
+        for call in (lambda: run_case(base, 0, asgn), lambda: build_e2(base),
+                     lambda: enumerate_assignments(base), lambda: next(pages(base, asgn))):
+            with pytest.raises(SpectralModelError) as info:
+                call()
+            assert str(info.value) == "the fiber algebra must be finite-dimensional"
+
+    def test_rows_of_one_width_share_one_cell(self):
+        for fiber in golden_fibers():
+            cells = build_e2(fiber).cells
+            widths = {q: len(fiber.degree_basis(q)) for q in range(fiber.top_degree + 1)}
+            assert set(cells) == {(0, q) for q, k in widths.items() if k}, fiber.name
+            by_width = {}
+            for (_, q), cell in cells.items():
+                k = widths[q]
+                assert cell == Cell(gf2.Subspace.full(k), gf2.Subspace.zero(k)), (fiber.name, q)
+                assert by_width.setdefault(k, cell) is cell, (fiber.name, q)
+
+    def test_a_turn_from_the_shared_e2_matches_the_references(self):
+        # each assignment's first active page turns E_2's cells: the turn
+        # equals turn_page_by_every_cell's and a turn from an E_2 with a
+        # separate cell per row
+        turned = 0
+        for fiber in golden_fibers():
+            top = fiber.top_degree
+            shared = build_e2(fiber).cells
+            separate = {(0, q): Cell(gf2.Subspace.full(k), gf2.Subspace.zero(k))
+                        for q in range(top + 1) if (k := len(fiber.degree_basis(q)))}
+            assert len({id(cell) for cell in separate.values()}) == len(separate)
+            for asgn in enumerate_assignments(fiber):
+                steps = [r for r in asgn.active_pages() if r <= top + 1]
+                if not steps:
+                    continue
+                page = Page(fiber, steps[0], 0, shared)
+                try:
+                    diff = extend_by_leibniz(page, asgn)
+                except (LeibnizInconsistency, SpectralModelError):
+                    continue
+                _, engine = turn_or_error(turn_page, page, diff)
+                assert engine == turn_or_error(turn_page_by_every_cell, page, diff)[1], (
+                    fiber.name, asgn.case_id)
+                assert engine == turn_or_error(
+                    turn_page, Page(fiber, steps[0], 0, separate), diff)[1], (
+                    fiber.name, asgn.case_id)
+                turned += 1
+        assert turned == 413
 
 
 class TestEnumeration:
@@ -1436,6 +1490,167 @@ class TestPagesLoop:
         assert other.case_id == "Z"
         with pytest.raises(ValueError):
             next(pages(q13, other))
+
+
+@contextlib.contextmanager
+def built_pages():
+    """Every ``Page`` the spectral module builds inside the block, in order."""
+    built = []
+
+    class Recorded(Page):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    with unittest.mock.patch.object(spectral, "Page", Recorded):
+        yield built
+
+
+def assert_walk_matches_pages(fiber):
+    """``run_case`` on every assignment of ``fiber``, all on one fresh copy,
+    against ``pages()``, each on a fresh copy of its own, so that neither
+    reads a page the other turned; dim_x is the top degree."""
+    walked, top = fresh_copy(fiber), fiber.top_degree
+    for asgn in enumerate_assignments(walked):
+        copy, alone = on_fresh_copy(walked, asgn)
+        try:
+            last = list(pages(copy, alone))[-1]
+        except LeibnizInconsistency as exc:
+            verdict = run_case(walked, top, asgn)
+            assert verdict.finding == dataclasses.replace(exc.finding, fiber=walked)
+            assert verdict.detail == str(exc), (fiber.name, asgn.case_id)
+            continue
+        except SpectralModelError as exc:
+            with pytest.raises(SpectralModelError) as info:
+                run_case(walked, top, asgn)
+            assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+            continue
+        with built_pages() as built:
+            verdict = run_case(walked, top, asgn)
+        limit = built[-1]
+        assert (limit.r, limit.stable, limit.cells) == (last.r, last.stable, last.cells), (
+            fiber.name, asgn.case_id)
+        assert verdict.e_infinity is (limit if verdict.finding is None else None)
+
+
+class TestRunCaseWalk:
+    """``run_case`` steps only the active pages r <= top + 1 and builds the
+    limit page once, and agrees with ``pages()`` on every assignment."""
+
+    def test_golden_fibers(self):
+        for fiber in golden_fibers():
+            assert_walk_matches_pages(fiber)
+
+    @given(monomial_presentations().filter(lambda p: p.top_degree <= 12))
+    @settings(max_examples=40, deadline=None)
+    def test_random_monomial_presentations(self, fiber):
+        assert_walk_matches_pages(fiber)
+
+    @staticmethod
+    def record_steps(monkeypatch):
+        """``(name, page)`` for each call of ``extend_by_leibniz`` and
+        ``turn_page``: the page each is handed and, for ``turn_page``, the
+        page it returns as ``("turned", page)``."""
+        steps = []
+
+        def extend(page, asgn, _inner=spectral.extend_by_leibniz):
+            steps.append(("extend_by_leibniz", page))
+            return _inner(page, asgn)
+
+        def turn(page, diff, _inner=spectral.turn_page):
+            steps.append(("turn_page", page))
+            steps.append(("turned", _inner(page, diff)))
+            return steps[-1][1]
+
+        monkeypatch.setattr(spectral, "extend_by_leibniz", extend)
+        monkeypatch.setattr(spectral, "turn_page", turn)
+        return steps
+
+    def test_one_step_per_active_page_that_misses(self, monkeypatch):
+        # on a shared presentation per fiber: a page whose (r, prefix) the
+        # table holds is read, a miss is turned once, a failed step ends the
+        # run, and no page >= top + 2 is touched.  The pages built are each
+        # turned page E_r, the E_{r+1} turn_page returns and the limit page,
+        # after the E_2 that build_e2 returns on the fiber's first run.
+        steps = self.record_steps(monkeypatch)
+        for fiber in golden_fibers():
+            fiber, top = fresh_copy(fiber), fiber.top_degree
+            for asgn in enumerate_assignments(fiber):
+                first = fiber not in spectral._PAGE_TABLE
+                before = set(spectral._PAGE_TABLE.get(fiber, ()))
+                steps.clear()
+                with built_pages() as built:
+                    try:
+                        verdict = run_case(fiber, top, asgn)
+                    except SpectralModelError:
+                        verdict = None
+                after = set(spectral._PAGE_TABLE[fiber])
+                missed = []
+                for r in asgn.active_pages():
+                    if r <= top + 1 and (r, asgn.prefix(r)) not in before:
+                        missed.append(r)
+                        if (r, asgn.prefix(r)) not in after:
+                            break       # the failed step
+                case = (fiber.name, asgn.case_id)
+                extended = [page.r for name, page in steps if name == "extend_by_leibniz"]
+                turned = [page.r for name, page in steps if name == "turn_page"]
+                assert extended == missed, case
+                assert turned in (missed, missed[:-1]), case
+                reached = verdict is not None and verdict.reason != "leibniz_inconsistent"
+                assert reached == all((r, asgn.prefix(r)) in after for r in missed), case
+                if first:
+                    assert built.pop(0).r == 2, case
+                handed = [page for name, page in steps if name != "turn_page"]
+                assert [id(page) for page in built] == [id(page) for page in handed] + (
+                    [id(built[-1])] if reached else []), case
+                if reached:
+                    assert built[-1].r == top + 2, case
+
+    def test_one_active_page(self, monkeypatch):
+        # Q(1, 3) case A, d_3(d) = t^3, on a fresh fiber: E_2 from build_e2,
+        # one turn, of E_3, and then the limit page E_10; a second run reads
+        # the turn and builds the limit page alone
+        steps = self.record_steps(monkeypatch)
+        q13 = wall_presentation(1, 3)
+        asgn = assignments_by_id(q13)["A"]
+        with built_pages() as built:
+            verdict = run_case(q13, 8, asgn)
+        assert [(name, page.r) for name, page in steps] == [
+            ("extend_by_leibniz", 3), ("turn_page", 3), ("turned", 4)]
+        assert [page.r for page in built] == [2, 3, 4, 10]
+        assert verdict.e_infinity is built[-1]
+        steps.clear()
+        with built_pages() as built:
+            again = run_case(q13, 8, asgn)
+        assert steps == []
+        assert [page.r for page in built] == [10]
+        assert again.e_infinity.cells is verdict.e_infinity.cells
+
+    def test_a_page_beyond_top_plus_one_is_not_stepped(self, monkeypatch):
+        # Dold P(0, 0) has top degree 0, so d2(c)=t^2 sits on page top + 2,
+        # beyond the first quadrant: no case turns a page, E_inf is E_2, and
+        # the four verdicts pinned by TestRunCase::test_point_has_no_survivor
+        # stay.  build_e2 makes the table first, so each run builds the
+        # limit page alone.
+        steps = self.record_steps(monkeypatch)
+        fiber = dold_presentation(0, 0)
+        build_e2(fiber)
+        for asgn in enumerate_assignments(fiber):
+            with built_pages() as built:
+                verdict = run_case(fiber, 0, asgn)
+            assert steps == [], asgn.case_id
+            assert [page.r for page in built] == [2], asgn.case_id
+            assert (verdict.outcome, verdict.reason, verdict.detail) == (
+                "eliminated", "vanishing_violation", "nonzero classes in degrees [1]")
+        assert [a.active_pages() for a in enumerate_assignments(fiber)] == [
+            (), (3,), (2,), (2, 3)]
+
+    def test_active_pages_are_stored_once(self):
+        q13 = wall_presentation(1, 3)
+        for asgn in enumerate_assignments(q13):
+            assert asgn.active_pages() is asgn.active_pages()
+            assert asgn.active_pages() == tuple(sorted(
+                {r for r in range(2, q13.top_degree + 2) if asgn.active_at(r)}))
 
 
 class TestPageDifferentialApply:
