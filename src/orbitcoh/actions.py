@@ -12,7 +12,12 @@ Wall wrapper.
 
 The ring check is shared across a presentation's candidates: a relation's
 verdict depends only on the images of the generators it reads, so it is
-computed once per presentation and per set of those images.
+computed once per presentation and per set of those images.  Bijectivity
+needs no product: once T is a ring map and bijective below degree q, it is
+bijective in degree q exactly when the images of the degree-q generators
+span A_q modulo the decomposables D_q, the span of the products of
+positive-degree classes, which is built once per presentation (the
+indecomposables argument in ``is_ring_endomorphism``).
 
 A surviving candidate is only "not eliminated": no implemented obstruction
 kills it.  Realization by an actual free involution is outside the reach of
@@ -24,6 +29,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
+from operator import add
 
 from . import gf2, wall
 from .algebra import AlgebraPresentation, Element, wall_presentation
@@ -141,12 +147,46 @@ def apply_candidate(cand: EndoCandidate, elem_or_mono) -> Element:
     return total
 
 
-# Relation verdicts by presentation, shared by every candidate on it.  A key
-# is a rule's index and the image terms of the generators the rule reads; the
-# value is None when the relation holds, else the reason text.  Neither holds
-# an Element: an element holds its presentation, which would keep the weak key
-# alive for good.
+# ``_RingFacts`` by presentation, shared by every candidate on it.  No field
+# holds an Element: an element holds its presentation, which would keep the
+# weak key alive for good.
 _RELATION_VERDICTS = weakref.WeakKeyDictionary()
+
+
+@dataclass(frozen=True)
+class _RingFacts:
+    """What ``is_ring_endomorphism`` reads from a presentation alone.
+
+    ``reads`` holds, per rule, the indices of the generators it reads;
+    ``degrees`` holds, per generator degree q in increasing order, ``(q,
+    generator indices of degree q, RREF rows of D_q, dim A_q)``; and
+    ``verdicts`` maps (rule index, image terms of the generators the rule
+    reads) to None when the relation holds, else the reason text."""
+
+    reads: tuple[tuple[int, ...], ...]
+    degrees: tuple[tuple[int, tuple[int, ...], list[int], int], ...]
+    verdicts: dict
+
+
+def _decomposables(pres: AlgebraPresentation, q: int) -> list[int]:
+    """RREF rows of D_q = span{a*b}: a, b basis monomials of positive
+    degrees summing to ``q``."""
+    return gf2.rref(pres.to_vector(pres.element([tuple(map(add, a, b))]), q)
+                    for i in range(1, q // 2 + 1)
+                    for a in pres.degree_basis(i) for b in pres.degree_basis(q - i))
+
+
+def _ring_facts(pres: AlgebraPresentation) -> _RingFacts:
+    """The presentation's entry of the table, made on first use."""
+    facts = _RELATION_VERDICTS.get(pres)
+    if facts is None:
+        reads = tuple(tuple(j for j, exps in enumerate(zip(rule.lhs, *rule.rhs)) if any(exps))
+                      for rule in pres.rules)
+        degrees = tuple((q, tuple(j for j, g in enumerate(pres.generators) if g.degree == q),
+                         _decomposables(pres, q), len(pres.degree_basis(q)))
+                        for q in sorted({g.degree for g in pres.generators}))
+        facts = _RELATION_VERDICTS[pres] = _RingFacts(reads, degrees, {})
+    return facts
 
 
 def is_ring_endomorphism(cand: EndoCandidate) -> tuple[bool, str | None]:
@@ -161,19 +201,27 @@ def is_ring_endomorphism(cand: EndoCandidate) -> tuple[bool, str | None]:
     presentation does not change.
 
     Bijectivity is checked only in the generator degrees, in increasing
-    order (graded Nakayama lemma): A_q is spanned by the generators of
-    degree q and the products A_i * A_(q-i).  If T is bijective below q,
-    those products lie in T(A), so a degree with no generator cannot be the
-    first to fail; a surjective endomorphism of a finite-dimensional space
-    is bijective.  The degree reported is the smallest where T fails.
+    order (graded Nakayama lemma; Milnor & Moore, Ann. Math. 1965): A_q is
+    spanned by the generators of degree q and the decomposables D_q, the
+    span of the products a*b of basis monomials of positive degrees summing
+    to q.  If T is bijective below q, those products lie in T(A), so a
+    degree with no generator cannot be the first to fail; a surjective
+    endomorphism of a finite-dimensional space is bijective.  The degree
+    reported is the smallest where T fails.
+
+    No product is formed to decide it.  T is a ring map here, since every
+    relation holds, and bijective below q, so T(A_i) = A_i for 0 < i < q
+    and T(D_q) = span{T(a)*T(b)} = D_q.  Hence T(A_q) = D_q + span{T(g) :
+    deg g = q}, and T is bijective in degree q exactly when D_q and the
+    images of the degree-q generators span A_q.  That is the same verdict
+    in the same first failing degree as ranking T of every basis monomial,
+    so every reason is unchanged.
     """
     pres = cand.pres
-    verdicts = _RELATION_VERDICTS.get(pres)
-    if verdicts is None:
-        verdicts = _RELATION_VERDICTS[pres] = {}
-    for i, rule in enumerate(pres.rules):
-        reads = (any(exps) for exps in zip(rule.lhs, *rule.rhs))
-        key = (i, *(img.terms for img, read in zip(cand.targets, reads) if read))
+    facts = _ring_facts(pres)
+    verdicts = facts.verdicts
+    for i, (rule, reads) in enumerate(zip(pres.rules, facts.reads)):
+        key = (i, *(cand.targets[j].terms for j in reads))
         if key not in verdicts:
             rhs = Element(pres, rule.rhs)
             lhs_img = apply_candidate(cand, rule.lhs)
@@ -183,10 +231,9 @@ def is_ring_endomorphism(cand: EndoCandidate) -> tuple[bool, str | None]:
         reason = verdicts[key]
         if reason is not None:
             return False, reason
-    for q in sorted({g.degree for g in pres.generators}):
-        basis = pres.degree_basis(q)
-        cols = [pres.to_vector(apply_candidate(cand, m), q) for m in basis]
-        if gf2.rank(cols) < len(basis):
+    for q, gens, decomposables, dim in facts.degrees:
+        images = [pres.to_vector(cand.targets[j], q) for j in gens]
+        if gf2.rank(decomposables + images) < dim:
             return False, f"not bijective in degree {q}"
     return True, None
 

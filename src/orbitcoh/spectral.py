@@ -304,10 +304,8 @@ class CaseVerdict:
 _PAGE_TABLE = weakref.WeakKeyDictionary()
 
 
-def build_e2(fiber: AlgebraPresentation) -> Page:
-    """Tensor-product starting page: column 0, which every column repeats.
-
-    It is the root of the fiber's page table, which the first call makes."""
+def _page_table(fiber: AlgebraPresentation) -> dict:
+    """The fiber's page table; the first call makes its root, E_2's cells."""
     if fiber.top_degree is None:
         raise SpectralModelError("the fiber algebra must be finite-dimensional")
     table = _PAGE_TABLE.get(fiber)
@@ -318,7 +316,14 @@ def build_e2(fiber: AlgebraPresentation) -> Page:
                 cell = by_width.get(k) or Cell(gf2.Subspace.full(k), gf2.Subspace.zero(k))
                 cells[(0, q)] = by_width[k] = cell
         table = _PAGE_TABLE[fiber] = {None: (0, cells)}
-    return Page(fiber, 2, *table[None])
+    return table
+
+
+def build_e2(fiber: AlgebraPresentation) -> Page:
+    """Tensor-product starting page: column 0, which every column repeats.
+
+    It is the root of the fiber's page table."""
+    return Page(fiber, 2, *_page_table(fiber)[None])
 
 
 # -- assignment enumeration ----------------------------------------------------
@@ -572,8 +577,8 @@ def pages(fiber: AlgebraPresentation, assignment: DifferentialAssignment):
     """
     if assignment.fiber is not fiber:
         raise ValueError("assignment belongs to a different fiber")
-    page = build_e2(fiber)
-    table = _PAGE_TABLE[fiber]     # build_e2 has made it
+    table = _page_table(fiber)
+    page = Page(fiber, 2, *table[None])
     yield page
     while page.r < fiber.top_degree + 2:
         r, stable, cells = page.r, page.stable, page.cells
@@ -594,9 +599,7 @@ def run_case(fiber: AlgebraPresentation, dim_x: int,
     """
     if assignment.fiber is not fiber:
         raise ValueError("assignment belongs to a different fiber")
-    if fiber not in _PAGE_TABLE:
-        build_e2(fiber)     # makes the table, or refuses an infinite fiber
-    table = _PAGE_TABLE[fiber]
+    table = _page_table(fiber)
     top = fiber.top_degree
     stable, cells = table[None]
     try:

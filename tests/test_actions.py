@@ -33,6 +33,7 @@ from orbitcoh.algebra import (
     Element,
     PresentationError,
     dold_presentation,
+    parse_presentation,
     wall_presentation,
 )
 
@@ -134,6 +135,22 @@ def renamed(pres, names):
     return AlgebraPresentation([(name, g.degree) for name, g in zip(names, pres.generators)],
                                [(rule.lhs, rule.rhs) for rule in pres.rules],
                                name=f"{pres.name} as {''.join(names)}")
+
+
+def decomposable_generators():
+    """Presentations with a generator that is no basis monomial: its normal
+    form is a product, or another generator plus a product, so its relation
+    pins its image in terms of the others."""
+    texts = {
+        "d=c^2": "gen c 1\ngen d 2\nrel d = c^2\nrel c^5 = 0\n",
+        "d=a*b": ("gen a 1\ngen b 1\ngen d 2\ngen e 2\n"
+                  "rel d = a*b\nrel a^2 = 0\nrel b^2 = 0\nrel e^2 = 0\n"),
+        "e=a*b+d": ("gen a 1\ngen b 1\ngen d 2\ngen e 2\n"
+                    "rel e = a*b + d\nrel a^2 = 0\nrel b^2 = 0\nrel d^2 = 0\n"),
+        "d=a*b_in_degree_3": ("gen a 1\ngen b 2\ngen d 3\ngen e 3\n"
+                              "rel d = a*b\nrel a^2 = 0\nrel b^2 = 0\nrel e^2 = 0\n"),
+    }
+    return [parse_presentation(text, name) for name, text in texts.items()]
 
 
 def rules_reversed(pres):
@@ -333,11 +350,27 @@ class TestRingEndomorphism:
     @pytest.mark.parametrize(
         "pres",
         [wall_presentation(m, n) for m in range(4) for n in range(6)]
-        + [dold_presentation(m, n) for m in range(4) for n in range(4)],
+        + [dold_presentation(m, n) for m in range(4) for n in range(4)]
+        + decomposable_generators(),
         ids=lambda pres: pres.name)
     def test_generator_degrees_match_every_degree_exhaustively(self, pres):
         for cand in enumerate_candidates(pres):
             assert is_ring_endomorphism(cand) == every_degree_ring_check(cand)
+
+    def test_decomposable_generators_reach_every_reason(self):
+        # each presentation of decomposable_generators() rewrites a generator
+        # into a product, and together they fail in the degrees of those
+        # generators, not only in degree 1
+        reasons = set()
+        for pres in decomposable_generators():
+            assert any(pres.gen(g.name).terms != {pres.gen_mono(g.name)}
+                       for g in pres.generators), pres.name
+            for cand in enumerate_candidates(pres):
+                reason = is_ring_endomorphism(cand)[1]
+                reasons.add(reason if reason is None or reason.startswith("not")
+                            else "relation")
+        assert reasons == {None, "relation", "not bijective in degree 1",
+                           "not bijective in degree 2", "not bijective in degree 3"}
 
 
 class TestSharedRelationVerdicts:
@@ -363,15 +396,42 @@ class TestSharedRelationVerdicts:
             assert is_ring_endomorphism(cands[i]) == every_degree_ring_check(cands[i])
 
     def test_table_does_not_keep_the_presentation_alive(self):
+        # every field filled: Q(1,3)'s rules x^2 = 0, c^2 = x*c and d^4 = 0
+        # read x, then c and x, then d; D_1 = 0, and D_2 is spanned by x*c,
+        # basis monomial 0 of degree_basis(2) = (x*c, d)
         report = classify_free_actions(1, 3)
         ref = weakref.ref(report.presentation)
-        candidates = enumerate_candidates(report.presentation)[:4]
+        candidates = enumerate_candidates(report.presentation)
         for cand in candidates:
             is_ring_endomorphism(cand)
-        assert report.presentation in actions._RELATION_VERDICTS
-        del report, candidates, cand
+        facts = actions._RELATION_VERDICTS[report.presentation]
+        assert facts.reads == ((0,), (0, 1), (2,))
+        assert facts.degrees == ((1, (0, 1), [], 2), (2, (2,), [0b01], 2))
+        assert None in facts.verdicts.values()
+        assert any(isinstance(v, str) for v in facts.verdicts.values())
+        del report, candidates, cand, facts
         gc.collect()
         assert ref() is None
+
+    def test_decomposables_are_built_once_per_generator_degree(self, monkeypatch):
+        # Q(2, 33) has generators of degrees 1, 1 and 2; classifying it
+        # twice builds D_1 and D_2 once, and a second copy builds its own
+        built = collections.Counter()
+
+        def counting(pres, q, _inner=actions._decomposables):
+            built[pres, q] += 1
+            return _inner(pres, q)
+
+        monkeypatch.setattr(actions, "_decomposables", counting)
+        pres = wall_presentation(2, 33)
+        assert built == {}
+        for _ in range(2):
+            records = classify(pres)
+        assert sum(r.reason.startswith("not bijective") for r in records) == 10
+        assert built == {(pres, 1): 1, (pres, 2): 1}
+        other = wall_presentation(2, 33)
+        classify(other)
+        assert built == {(pres, 1): 1, (pres, 2): 1, (other, 1): 1, (other, 2): 1}
 
     def test_each_relation_is_evaluated_once_per_image(self, monkeypatch):
         # on Q(2,33) x^2 = 0 reads x (3 images), c^3 = c^2*x reads c and x,

@@ -1571,12 +1571,11 @@ class TestRunCaseWalk:
         # table holds is read, a miss is turned once, a failed step ends the
         # run, and no page >= top + 2 is touched.  The pages built are each
         # turned page E_r, the E_{r+1} turn_page returns and the limit page,
-        # after the E_2 that build_e2 returns on the fiber's first run.
+        # and nothing else, not even E_2 on the fiber's first run.
         steps = self.record_steps(monkeypatch)
         for fiber in golden_fibers():
             fiber, top = fresh_copy(fiber), fiber.top_degree
             for asgn in enumerate_assignments(fiber):
-                first = fiber not in spectral._PAGE_TABLE
                 before = set(spectral._PAGE_TABLE.get(fiber, ()))
                 steps.clear()
                 with built_pages() as built:
@@ -1598,8 +1597,6 @@ class TestRunCaseWalk:
                 assert turned in (missed, missed[:-1]), case
                 reached = verdict is not None and verdict.reason != "leibniz_inconsistent"
                 assert reached == all((r, asgn.prefix(r)) in after for r in missed), case
-                if first:
-                    assert built.pop(0).r == 2, case
                 handed = [page for name, page in steps if name != "turn_page"]
                 assert [id(page) for page in built] == [id(page) for page in handed] + (
                     [id(built[-1])] if reached else []), case
@@ -1607,8 +1604,8 @@ class TestRunCaseWalk:
                     assert built[-1].r == top + 2, case
 
     def test_one_active_page(self, monkeypatch):
-        # Q(1, 3) case A, d_3(d) = t^3, on a fresh fiber: E_2 from build_e2,
-        # one turn, of E_3, and then the limit page E_10; a second run reads
+        # Q(1, 3) case A, d_3(d) = t^3, on a fresh fiber: one turn, of E_3,
+        # and then the limit page E_10, with no E_2 page; a second run reads
         # the turn and builds the limit page alone
         steps = self.record_steps(monkeypatch)
         q13 = wall_presentation(1, 3)
@@ -1617,7 +1614,7 @@ class TestRunCaseWalk:
             verdict = run_case(q13, 8, asgn)
         assert [(name, page.r) for name, page in steps] == [
             ("extend_by_leibniz", 3), ("turn_page", 3), ("turned", 4)]
-        assert [page.r for page in built] == [2, 3, 4, 10]
+        assert [page.r for page in built] == [3, 4, 10]
         assert verdict.e_infinity is built[-1]
         steps.clear()
         with built_pages() as built:
@@ -1630,11 +1627,10 @@ class TestRunCaseWalk:
         # Dold P(0, 0) has top degree 0, so d2(c)=t^2 sits on page top + 2,
         # beyond the first quadrant: no case turns a page, E_inf is E_2, and
         # the four verdicts pinned by TestRunCase::test_point_has_no_survivor
-        # stay.  build_e2 makes the table first, so each run builds the
-        # limit page alone.
+        # stay.  Each run, the fiber's first included, builds the limit page
+        # alone.
         steps = self.record_steps(monkeypatch)
         fiber = dold_presentation(0, 0)
-        build_e2(fiber)
         for asgn in enumerate_assignments(fiber):
             with built_pages() as built:
                 verdict = run_case(fiber, 0, asgn)
