@@ -8,7 +8,8 @@ obstruction (if the top degree is 2l and T is the identity in degree 2l, a
 class ``a`` of degree l with ``a * T(a) != 0`` forces a fixed point, so no
 *free* involution can induce the action).  ``classify(pres)`` runs them on
 every candidate of a finite presentation, and ``classify_free_actions`` is its
-Wall wrapper.
+wrapper for the Wall manifolds Q(m, n), every m, n >= 0.  Which survivors
+are undecided is a question of the Wall taxonomy, put to ``wall``, not here.
 
 The ring check is shared across a presentation's candidates: a relation's
 verdict depends only on the images of the generators it reads, so it is
@@ -31,7 +32,7 @@ import weakref
 from dataclasses import dataclass
 from operator import add
 
-from . import gf2, wall
+from . import gf2
 from .algebra import AlgebraPresentation, Element, wall_presentation
 
 
@@ -100,17 +101,6 @@ class ActionReport:
 
     def survivors(self) -> tuple[CandidateRecord, ...]:
         return tuple(r for r in self.records if r.stage is None)
-
-    @property
-    def unresolved(self) -> tuple[CandidateRecord, ...]:
-        """Survivors other than the identity and the c -> c + x twist
-        (``wall.is_identity_or_twist``): the undecided cases."""
-        return tuple(r for r in self.survivors() if not wall.is_identity_or_twist(r.candidate))
-
-    @property
-    def classification_complete(self) -> bool:
-        """True when no survivor is undecided."""
-        return not self.unresolved
 
 
 def enumerate_candidates(pres: AlgebraPresentation) -> list[EndoCandidate]:
@@ -319,12 +309,6 @@ def classify(pres: AlgebraPresentation) -> tuple[CandidateRecord, ...]:
 
 
 def classify_free_actions(m: int, n: int) -> ActionReport:
-    """Filter all candidate actions on H*(Q(m, n)) for odd ``n``.
-
-    The odd-n restriction matches the regime where Q(m, n) bounds and can
-    carry a free involution at all.
-    """
-    if n % 2 == 0:
-        raise ValueError("classification requires odd n")
+    """``classify`` on H*(Q(m, n)), with ``m`` and ``n`` kept in the report."""
     pres = wall_presentation(m, n)
     return ActionReport(m, n, pres, classify(pres))

@@ -562,11 +562,5 @@ def parse_presentation(text: str, name: str = "") -> AlgebraPresentation:
 def format_presentation(pres: AlgebraPresentation) -> str:
     """Serialize to the same ``gen``/``rel`` format ``parse_presentation`` reads."""
     lines = [f"gen {g.name} {g.degree}" for g in pres.generators]
-    for rule in pres.rules:
-        if rule.rhs:
-            ordered = sorted(rule.rhs, key=pres.order_key, reverse=True)
-            rhs = " + ".join(pres.mono_str(m) for m in ordered)
-        else:
-            rhs = "0"
-        lines.append(f"rel {pres.mono_str(rule.lhs)} = {rhs}")
+    lines += [f"rel {pres.mono_str(rule.lhs)} = {Element(pres, rule.rhs)}" for rule in pres.rules]
     return "\n".join(lines) + "\n"

@@ -14,9 +14,10 @@
     ``t^r`` factor) and ``degrees`` (the nonzero total degrees above dim X).
 
 ``orbitcoh actions M N [--json]``
-    Every candidate involution of H*(Q(M, N)), N odd: its generator images,
-    status, the filter that eliminated it and the reason.  A survivor that
-    is neither the identity nor c -> c + x is marked undecided.
+    Every candidate involution of H*(Q(M, N)): its generator images, status,
+    the filter that eliminated it and the reason.  A survivor that is neither
+    the identity nor c -> c + x (``wall.is_identity_or_twist``) is marked
+    undecided.
 
 Run it as ``orbitcoh`` once the package is installed, or as
 ``python -m orbitcoh.cli`` with ``src`` on the module path.  A reader that
@@ -31,7 +32,7 @@ import json
 import os
 import sys
 
-from . import actions, spectral
+from . import actions, spectral, wall
 from .algebra import wall_presentation
 
 
@@ -65,15 +66,14 @@ def _spectral(m: int, n: int) -> dict:
 
 def _actions(m: int, n: int) -> dict:
     report = actions.classify_free_actions(m, n)
-    undecided = {id(r) for r in report.unresolved}
     records = [{"images": {name: str(img) for name, img in r.candidate.images},
                 "status": r.status, "stage": r.stage, "reason": r.reason,
-                "undecided": id(r) in undecided,
+                "undecided": r.stage is None and not wall.is_identity_or_twist(r.candidate),
                 "trivial_in_degrees_ge_2": r.trivial_in_degrees_ge_2}
                for r in report.records]
     return {"fiber": f"Q({m},{n})", "candidates": len(records),
-            "survivors": len(report.survivors()), "undecided": len(undecided),
-            "records": records}
+            "survivors": len(report.survivors()),
+            "undecided": sum(r["undecided"] for r in records), "records": records}
 
 
 def _print_spectral(result: dict):

@@ -107,6 +107,8 @@ class DifferentialAssignment:
         for g, tgt in zip(gens, self.targets):
             if tgt is None:
                 continue
+            if not isinstance(tgt, Element):
+                raise ValueError(f"the target of {g.name} is neither an element nor None")
             if tgt.algebra is not self.fiber:
                 raise ValueError(f"the target of {g.name} belongs to another presentation")
             if not tgt:

@@ -36,6 +36,7 @@ from orbitcoh.algebra import (
     parse_presentation,
     wall_presentation,
 )
+from orbitcoh.wall import is_identity_or_twist
 
 
 def candidate(pres, **images):
@@ -682,8 +683,7 @@ class TestClassification:
             "x -> x, c -> c, d -> d",
             "x -> x, c -> c + x, d -> d",
         }
-        assert report.classification_complete
-        assert not report.unresolved
+        assert all(is_identity_or_twist(r.candidate) for r in report.survivors())
 
     def test_q15_twisted_d_killed_by_obstruction(self):
         report = classify_free_actions(1, 5)
@@ -705,7 +705,7 @@ class TestClassification:
         survivors = [r for r in twisted if r.status == "survives"]
         assert len(survivors) == 2
         assert all(not r.trivial_in_degrees_ge_2 for r in survivors)
-        assert report.unresolved
+        assert not any(is_identity_or_twist(r.candidate) for r in survivors)
 
     def test_q23_c_twist_eliminated(self):
         report = classify_free_actions(2, 3)
@@ -744,9 +744,21 @@ class TestClassification:
             assert ok
             assert is_involutive(r.candidate)
 
-    def test_even_n_rejected(self):
-        with pytest.raises(ValueError):
-            classify_free_actions(1, 4)
+    @pytest.mark.parametrize("m, n, count, survivors, identity", [
+        (1, 2, 27, ["x -> x, c -> c + x, d -> d"],
+         ("fixed_point_obstruction", "a = c*d has a * T(a) = x*c*d^2 != 0")),
+        (2, 2, 63, ["x -> x, c -> c, d -> d"],
+         (None, "fixed-point obstruction inapplicable: top degree 7 is odd")),
+        (3, 2, 63, [],
+         ("fixed_point_obstruction", "a = c^2*d has a * T(a) = x*c^3*d^2 != 0")),
+    ], ids=["Q(1,2)", "Q(2,2)", "Q(3,2)"])
+    def test_even_n(self, m, n, count, survivors, identity):
+        report = classify_free_actions(m, n)
+        assert (report.m, report.n, len(report.records)) == (m, n, count)
+        assert [r.candidate.describe() for r in report.survivors()] == survivors
+        [ident] = [r for r in report.records
+                   if r.candidate.describe() == "x -> x, c -> c, d -> d"]
+        assert (ident.stage, ident.reason) == identity
 
     @pytest.mark.parametrize("m", range(4))
     @pytest.mark.parametrize("n", [1, 3, 5])
@@ -805,12 +817,12 @@ def actions_grid_reports():
 
 def survivors_table(reports) -> str:
     """One line per survivor, ``Q(m,n): <images>: <decided|undecided>:
-    <reason>``; undecided is ``ActionReport.unresolved``."""
+    <reason>``; a survivor is decided when it is the identity or c -> c + x
+    (``wall.is_identity_or_twist``)."""
     lines = []
     for report in reports:
-        undecided = {id(r) for r in report.unresolved}
         for r in report.survivors():
-            kind = "undecided" if id(r) in undecided else "decided"
+            kind = "decided" if is_identity_or_twist(r.candidate) else "undecided"
             lines.append(f"Q({report.m},{report.n}): {r.candidate.describe()}: "
                          f"{kind}: {r.reason}\n")
     return "".join(lines)

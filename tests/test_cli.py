@@ -8,6 +8,7 @@ import sys
 
 from orbitcoh import actions, spectral
 from orbitcoh.algebra import wall_presentation
+from orbitcoh.wall import is_identity_or_twist
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -45,8 +46,22 @@ def test_actions_json_matches_the_library():
         (r.status, r.stage, r.reason) for r in report.records]
     assert [r["images"] for r in out["records"]] == [
         {name: str(img) for name, img in r.candidate.images} for r in report.records]
-    assert out["undecided"] == sum(r["undecided"] for r in out["records"]) == len(report.unresolved)
+    assert [r["undecided"] for r in out["records"]] == [
+        r.stage is None and not is_identity_or_twist(r.candidate) for r in report.records]
+    assert out["undecided"] == sum(r["undecided"] for r in out["records"])
     assert out["survivors"] == len(report.survivors())
+
+
+def test_actions_answers_even_n():
+    run = orbitcoh("actions", "1", "2", "--json")
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    assert (out["fiber"], out["candidates"], out["survivors"], out["undecided"]) == (
+        "Q(1,2)", 27, 1, 0)
+    [survivor] = [r for r in out["records"] if r["status"] == "survives"]
+    assert survivor["images"] == {"x": "x", "c": "c + x", "d": "d"}
+    [identity] = [r for r in out["records"] if r["images"] == {"x": "x", "c": "c", "d": "d"}]
+    assert identity["stage"] == "fixed_point_obstruction"
 
 
 def test_spectral_json_matches_the_library():
@@ -125,7 +140,7 @@ def test_spectral_reports_a_refused_case_and_exits_1():
 
 
 def test_bad_arguments_exit_2():
-    for args in (("actions", "1", "2"), ("spectral", "--wall", "-1", "3"), ()):
+    for args in (("actions", "-1", "3"), ("spectral", "--wall", "-1", "3"), ()):
         run = orbitcoh(*args)
         assert run.returncode == 2
         assert run.stderr.startswith("usage: orbitcoh")

@@ -350,6 +350,14 @@ class TestAssignmentChecks:
         with pytest.raises(ValueError, match="^the target of d belongs to another presentation$"):
             TestTargetGuards.hand_built(q13, "d", other)
 
+    @pytest.mark.parametrize("target", [1, "x", (0, 0, 0)], ids=repr)
+    def test_a_target_that_is_not_an_element(self, target):
+        # refused as EndoCandidate refuses a non-Element image, not with the
+        # AttributeError of reading target.algebra
+        q13 = wall_presentation(1, 3)
+        with pytest.raises(ValueError, match="^the target of d is neither an element nor None$"):
+            DifferentialAssignment(q13, (None, None, target))
+
     def test_a_zero_target(self):
         # a zero target has no degree and so no page
         q13 = wall_presentation(1, 3)
