@@ -84,8 +84,6 @@ class CandidateRecord:
     candidate: EndoCandidate
     stage: str | None                # filter that eliminated the candidate; None survives
     reason: str | None
-    witness: ObstructionWitness | None
-    trivial_in_degrees_ge_2: bool | None
 
     @property
     def status(self) -> str:
@@ -284,10 +282,10 @@ def _record(cand: EndoCandidate) -> CandidateRecord:
     """Run the filters cheapest-first and record the first that eliminates ``cand``."""
     ok, reason = is_ring_endomorphism(cand)
     if not ok:
-        return CandidateRecord(cand, "ring_endomorphism", reason, None, None)
+        return CandidateRecord(cand, "ring_endomorphism", reason)
     if not is_involutive(cand):
         return CandidateRecord(cand, "involutivity",
-                               "composed with itself, the map is not the identity", None, None)
+                               "composed with itself, the map is not the identity")
     try:
         witness = bredon_obstruction(cand)
     except ObstructionInapplicable as exc:
@@ -296,10 +294,9 @@ def _record(cand: EndoCandidate) -> CandidateRecord:
         if witness is not None:
             return CandidateRecord(
                 cand, "fixed_point_obstruction",
-                f"a = {witness.middle_class} has a * T(a) = {witness.product} != 0",
-                witness, None)
+                f"a = {witness.middle_class} has a * T(a) = {witness.product} != 0")
         reason = "no obstruction found (not eliminated)"
-    return CandidateRecord(cand, None, reason, None, is_trivial_in_degrees_ge_2(cand))
+    return CandidateRecord(cand, None, reason)
 
 
 def classify(pres: AlgebraPresentation) -> tuple[CandidateRecord, ...]:

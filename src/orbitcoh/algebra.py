@@ -15,7 +15,10 @@ rewriting terminate; confluence is *checked*, never assumed.
 
 Homogeneity is checked where outside input enters: every rule when the
 presentation is built, and the terms of an element made by
-``Element(algebra, terms)`` or ``AlgebraPresentation.element(monos)``.
+``Element(algebra, terms)`` or ``AlgebraPresentation.element(monos)``, each
+term first checked to be one integer exponent >= 0 per generator
+(``check_mono``, which raises ``PresentationError``).  An operand of ``+`` or
+``*`` that is not an ``Element`` is a ``TypeError``.
 Arithmetic needs no check, because the rules are homogeneous: rewriting
 keeps a monomial's degree, so a product of elements of degrees i and j
 has degree i + j, a Frobenius square 2i, and a sum the common degree of
@@ -304,7 +307,10 @@ class AlgebraPresentation:
         return self.element([self.gen_mono(name)])
 
     def element(self, monos) -> "Element":
-        return Element(self, self.normal_form(monos))
+        """The normal form of the GF(2) sum of ``monos``, each checked by
+        ``check_mono``; refuses a sum with terms of two degrees."""
+        terms = self.normal_form(map(self.check_mono, monos))
+        return _element(self, terms, _common_degree(self, terms))
 
     def nonzero_elements(self, q: int) -> list["Element"]:
         """Every nonzero element of degree ``q``, one per bit mask 1, 2, 3, ...
@@ -361,26 +367,27 @@ class Element:
     """A GF(2) sum of normal-form monomials, homogeneous or zero.
 
     ``degree`` is the common degree of the terms, None for zero.  The
-    constructor checks that the terms share it; arithmetic knows it in
-    advance (see the module docstring) and builds through ``_element``
-    without the check.  A sum of two nonzero elements of unequal degrees
-    is refused.
+    constructor checks each term (``check_mono``) and that the terms share
+    one degree; arithmetic knows it in advance (see the module docstring)
+    and builds through ``_element`` without the checks.  A sum of two
+    nonzero elements of unequal degrees is refused, and an operand that is
+    not an ``Element`` is a ``TypeError``.
     """
 
     __slots__ = ("algebra", "terms", "degree")
 
     def __init__(self, algebra: AlgebraPresentation, terms: frozenset[Mono]):
-        degrees = {algebra.mono_degree(m) for m in terms}
-        if len(degrees) > 1:
-            raise ValueError("element terms must share a single degree")
+        terms = frozenset(map(algebra.check_mono, terms))
         self.algebra = algebra
         self.terms = terms
-        self.degree = degrees.pop() if degrees else None
+        self.degree = _common_degree(algebra, terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __add__(self, other: "Element") -> "Element":
+        if not isinstance(other, Element):
+            return NotImplemented
         self._check(other)
         degree = self.degree if other.degree is None else other.degree
         if self.degree not in (None, degree):
@@ -388,6 +395,8 @@ class Element:
         return _element(self.algebra, self.terms ^ other.terms, degree)
 
     def __mul__(self, other: "Element") -> "Element":
+        if not isinstance(other, Element):
+            return NotImplemented
         self._check(other)
         if not (self.terms and other.terms):
             return self.algebra.zero()
@@ -451,10 +460,19 @@ class Element:
         return f"Element({self})"
 
 
+def _common_degree(algebra: AlgebraPresentation, terms: frozenset[Mono]) -> int | None:
+    """The one degree of checked ``terms``, None for no terms; terms of two
+    degrees are refused."""
+    degrees = {algebra.mono_degree(m) for m in terms}
+    if len(degrees) > 1:
+        raise ValueError("element terms must share a single degree")
+    return degrees.pop() if degrees else None
+
+
 def _element(algebra: AlgebraPresentation, terms: frozenset[Mono],
              degree: int | None) -> Element:
     """Arithmetic's constructor: ``terms`` are known to lie in ``degree``, so
-    ``Element.__init__``'s check is skipped.  Empty terms give degree None."""
+    ``Element.__init__``'s checks are skipped.  Empty terms give degree None."""
     elem = object.__new__(Element)
     elem.algebra, elem.terms, elem.degree = algebra, terms, degree if terms else None
     return elem

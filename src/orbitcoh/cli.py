@@ -14,10 +14,11 @@
     ``t^r`` factor) and ``degrees`` (the nonzero total degrees above dim X).
 
 ``orbitcoh actions M N [--json]``
-    Every candidate involution of H*(Q(M, N)): its generator images, status,
-    the filter that eliminated it and the reason.  A survivor that is neither
-    the identity nor c -> c + x (``wall.is_identity_or_twist``) is marked
-    undecided.
+    Every candidate involution of H*(Q(M, N)), with the JSON keys ``images``,
+    ``status``, ``stage`` (the filter that eliminated it), ``reason`` and two
+    computed here for a survivor, false and null otherwise: ``undecided``,
+    marked in the text too, if neither the identity nor c -> c + x
+    (``wall.is_identity_or_twist``), and ``trivial_in_degrees_ge_2``.
 
 Run it as ``orbitcoh`` once the package is installed, or as
 ``python -m orbitcoh.cli`` with ``src`` on the module path.  A reader that
@@ -69,7 +70,8 @@ def _actions(m: int, n: int) -> dict:
     records = [{"images": {name: str(img) for name, img in r.candidate.images},
                 "status": r.status, "stage": r.stage, "reason": r.reason,
                 "undecided": r.stage is None and not wall.is_identity_or_twist(r.candidate),
-                "trivial_in_degrees_ge_2": r.trivial_in_degrees_ge_2}
+                "trivial_in_degrees_ge_2":
+                    actions.is_trivial_in_degrees_ge_2(r.candidate) if r.stage is None else None}
                for r in report.records]
     return {"fiber": f"Q({m},{n})", "candidates": len(records),
             "survivors": len(report.survivors()),

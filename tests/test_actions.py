@@ -208,7 +208,7 @@ class TestEnumeration:
         [record] = classify(cp2)
         assert record.candidate == candidate(cp2, c="c", d="d")
         assert record.candidate.describe() == "c -> 0, d -> d"
-        assert (record.stage, str(record.witness.middle_class)) == (
+        assert (record.stage, str(bredon_obstruction(record.candidate).middle_class)) == (
             "fixed_point_obstruction", "d")
 
     def test_a_zero_generator_keeps_the_identity_of_cp3(self):
@@ -485,8 +485,7 @@ class TestInvolutivityStage:
         cand = candidate(pres, a="b", b="e", e="a")
         assert is_ring_endomorphism(cand) == (True, None)
         record = _record(cand)
-        assert (record.stage, record.status, record.witness) == (
-            "involutivity", "eliminated", None)
+        assert (record.stage, record.status) == ("involutivity", "eliminated")
         assert record.reason == "composed with itself, the map is not the identity"
 
     def test_stage_counts(self):
@@ -599,9 +598,14 @@ class TestBredonWitnessIsABasisMonomial:
                     continue    # eliminated earlier, or the walk did not run
                 reached += 1
                 expected = first_basis_witness(r.candidate)
-                assert r.witness == expected, (report.m, report.n, r.candidate.describe())
+                where = (report.m, report.n, r.candidate.describe())
+                assert bredon_obstruction(r.candidate) == expected, where
                 if expected is None:
-                    assert r.reason == "no obstruction found (not eliminated)"
+                    text = None, "no obstruction found (not eliminated)"
+                else:
+                    text = "fixed_point_obstruction", (
+                        f"a = {expected.middle_class} has a * T(a) = {expected.product} != 0")
+                assert (r.stage, r.reason) == text, where
                 witnesses += expected is not None
         assert (reached, witnesses) == (264, 60)
 
@@ -694,8 +698,9 @@ class TestClassification:
                          if r.stage == "fixed_point_obstruction"]
         assert len(at_obstruction) == 2
         for r in at_obstruction:
-            assert str(r.witness.middle_class) == "d^3"
-            assert str(r.witness.product) == "x*c*d^5"
+            witness = bredon_obstruction(r.candidate)
+            assert str(witness.middle_class) == "d^3"
+            assert str(witness.product) == "x*c*d^5"
 
     def test_q13_twisted_d_not_eliminated(self):
         report = classify_free_actions(1, 3)
@@ -704,7 +709,7 @@ class TestClassification:
                    and str(r.candidate.image("x")) == "x"]
         survivors = [r for r in twisted if r.status == "survives"]
         assert len(survivors) == 2
-        assert all(not r.trivial_in_degrees_ge_2 for r in survivors)
+        assert not any(is_trivial_in_degrees_ge_2(r.candidate) for r in survivors)
         assert not any(is_identity_or_twist(r.candidate) for r in survivors)
 
     def test_q23_c_twist_eliminated(self):
@@ -765,39 +770,46 @@ class TestClassification:
     def test_renamed_generators_move_no_record(self, m, n):
         # x, c, d renamed to u, v, w, in the same order (ROADMAP N): the
         # candidates come in the same order and meet the same fate
-        expected = [(r.stage, r.trivial_in_degrees_ge_2)
-                    for r in classify_free_actions(m, n).records]
+        expected = [(r.stage, triviality(r)) for r in classify_free_actions(m, n).records]
         uvw = renamed(wall_presentation(m, n), ("u", "v", "w"))
-        assert [(r.stage, r.trivial_in_degrees_ge_2)
+        assert [(r.stage, triviality(r))
                 for r in map(_record, enumerate_candidates(uvw))] == expected
 
     @pytest.mark.parametrize("m", range(4))
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_classify_gives_the_wall_wrapper_records(self, m, n):
         def rows(records):
-            return [(r.candidate.describe(), r.stage, r.reason, r.trivial_in_degrees_ge_2)
-                    for r in records]
+            return [(r.candidate.describe(), r.stage, r.reason) for r in records]
 
         assert rows(classify(wall_presentation(m, n))) == rows(
             classify_free_actions(m, n).records)
 
     def test_status_is_read_from_stage(self):
         assert [f.name for f in dataclasses.fields(CandidateRecord)] == [
-            "candidate", "stage", "reason", "witness", "trivial_in_degrees_ge_2"]
+            "candidate", "stage", "reason"]
         report = classify_free_actions(1, 3)
         assert {(r.stage is None, r.status) for r in report.records} == {
             (True, "survives"), (False, "eliminated")}
         assert report.survivors() == tuple(r for r in report.records if r.stage is None)
 
 
+def triviality(r):
+    """The CLI's ``trivial_in_degrees_ge_2`` of a record: checked on a
+    survivor, None on a record that was eliminated."""
+    return is_trivial_in_degrees_ge_2(r.candidate) if r.stage is None else None
+
+
 def record_rows(reports):
     """One row per candidate of each ``classify_free_actions`` report: its
-    description, status, stage, reason, triviality flag and witness."""
+    description, status, stage, reason, triviality flag and witness, the
+    last two recomputed from the candidate (``triviality`` and
+    ``bredon_obstruction``, where the obstruction eliminated it)."""
     for report in reports:
         for r in report.records:
-            witness = r.witness and (str(r.witness.middle_class), str(r.witness.product))
+            witness = (bredon_obstruction(r.candidate)
+                       if r.stage == "fixed_point_obstruction" else None)
             yield (report.m, report.n, r.candidate.describe(), r.status, r.stage, r.reason,
-                   r.trivial_in_degrees_ge_2, witness)
+                   triviality(r), witness and (str(witness.middle_class), str(witness.product)))
 
 
 # The benchmark's actions_grid pairs: m <= 5, odd n and top degree
@@ -849,6 +861,13 @@ def test_golden_record_digest_actions_grid():
     assert len(rows) == 4634
     digest = hashlib.sha256("\n".join(map(repr, rows)).encode()).hexdigest()[:16]
     assert digest == "f55f2c654a9cf02e"
+
+
+def test_actions_grid_survivor_triviality():
+    # the CLI's trivial_in_degrees_ge_2 splits the 337 survivors
+    flags = collections.Counter(triviality(r) for report in actions_grid_reports()
+                                for r in report.survivors())
+    assert flags == {True: 100, False: 237}
 
 
 def test_actions_grid_survivors_table():

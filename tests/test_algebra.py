@@ -585,6 +585,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             q13.gen("x") + q13.gen("d")
 
+    @pytest.mark.parametrize("make", [
+        lambda q: q.element([(1,)]),                   # once read as 0
+        lambda q: q.element([(0, 0, 1, 5)]),           # once read as d
+        lambda q: q.element([(1.0, 0, 0)]),
+        lambda q: Element(q, frozenset({(1,)})),       # once x, of degree 1
+        lambda q: Element(q, frozenset({(-1, 1, 0)})),  # once c, of degree 0
+    ], ids=["element-short", "element-long", "element-float", "Element-short",
+            "Element-negative"])
+    def test_malformed_monomial_is_refused(self, make):
+        with pytest.raises(PresentationError, match="needs 3 exponents >= 0"):
+            make(wall_presentation(1, 3))
+
+    @pytest.mark.parametrize("op", [operator.add, operator.mul], ids=["add", "mul"])
+    @pytest.mark.parametrize("other", [0, 1, 2, "x"])
+    def test_an_operand_that_is_not_an_element_is_a_type_error(self, op, other):
+        x = wall_presentation(1, 3).gen("x")
+        with pytest.raises(TypeError):
+            op(x, other)
+
     def test_to_vector_rejects_element_of_another_presentation(self):
         # Q(2, 3)'s d would otherwise read as bit 1 of Q(1, 3)'s degree-2 basis
         q13, q23 = wall_presentation(1, 3), wall_presentation(2, 3)

@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 
-from orbitcoh import actions, spectral
+from orbitcoh import actions, cli, spectral
 from orbitcoh.algebra import wall_presentation
 from orbitcoh.wall import is_identity_or_twist
 
@@ -50,6 +50,17 @@ def test_actions_json_matches_the_library():
         r.stage is None and not is_identity_or_twist(r.candidate) for r in report.records]
     assert out["undecided"] == sum(r["undecided"] for r in out["records"])
     assert out["survivors"] == len(report.survivors())
+
+
+def test_actions_json_triviality_is_checked_on_survivors_alone():
+    # the CLI computes the flag itself: is_trivial_in_degrees_ge_2 on a
+    # survivor, null on a record that was eliminated
+    for m in range(4):
+        for n in range(6):
+            records = actions.classify_free_actions(m, n).records
+            assert [r["trivial_in_degrees_ge_2"] for r in cli._actions(m, n)["records"]] == [
+                actions.is_trivial_in_degrees_ge_2(r.candidate) if r.stage is None else None
+                for r in records], (m, n)
 
 
 def test_actions_answers_even_n():
