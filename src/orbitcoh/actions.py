@@ -159,7 +159,7 @@ class _RingFacts:
 def _decomposables(pres: AlgebraPresentation, q: int) -> list[int]:
     """RREF rows of D_q = span{a*b}: a, b basis monomials of positive
     degrees summing to ``q``."""
-    return gf2.rref(pres.to_vector(pres.element([tuple(map(add, a, b))]), q)
+    return gf2.rref(pres.to_vector(Element(pres, [tuple(map(add, a, b))]), q)
                     for i in range(1, q // 2 + 1)
                     for a in pres.degree_basis(i) for b in pres.degree_basis(q - i))
 
@@ -182,11 +182,12 @@ def is_ring_endomorphism(cand: EndoCandidate) -> tuple[bool, str | None]:
 
     Each relation's verdict is computed once per presentation and per set of
     images of the generators the relation reads, those with a nonzero
-    exponent in its left side or in a right-hand monomial, and then shared
-    by every candidate that gives them the same images.  This is sound
-    because ``apply_candidate`` multiplies only the images of exponents > 0,
-    so T(lhs) and T(rhs) depend on those generators alone, and a
-    presentation does not change.
+    exponent in its left side or in a right-hand monomial as written, and
+    then shared by every candidate that gives them the same images.  This
+    is sound because T is applied to the rule as written, never to a reduced
+    right side, which can read other generators, and ``apply_candidate``
+    multiplies only the images of exponents > 0: T(lhs) and T(rhs) depend
+    on those generators alone, and a presentation does not change.
 
     Bijectivity is checked only in the generator degrees, in increasing
     order (graded Nakayama lemma; Milnor & Moore, Ann. Math. 1965): A_q is
@@ -211,11 +212,10 @@ def is_ring_endomorphism(cand: EndoCandidate) -> tuple[bool, str | None]:
     for i, (rule, reads) in enumerate(zip(pres.rules, facts.reads)):
         key = (i, *(cand.targets[j].terms for j in reads))
         if key not in verdicts:
-            rhs = Element(pres, rule.rhs)
             lhs_img = apply_candidate(cand, rule.lhs)
-            rhs_img = apply_candidate(cand, rhs)
+            rhs_img = sum((apply_candidate(cand, mono) for mono in rule.rhs), pres.zero())
             verdicts[key] = None if lhs_img == rhs_img else (
-                f"relation {pres.mono_str(rule.lhs)} = {rhs} maps to {lhs_img} != {rhs_img}")
+                f"relation {pres.rule_text(rule)} maps to {lhs_img} != {rhs_img}")
         reason = verdicts[key]
         if reason is not None:
             return False, reason
@@ -234,7 +234,7 @@ def is_involutive(cand: EndoCandidate) -> bool:
 
 def _fixes_degree(cand: EndoCandidate, q: int) -> bool:
     """True when the candidate fixes every basis monomial of degree ``q``."""
-    return all(apply_candidate(cand, mono) == cand.pres.element([mono])
+    return all(apply_candidate(cand, mono) == Element(cand.pres, [mono])
                for mono in cand.pres.degree_basis(q))
 
 

@@ -14,11 +14,13 @@ downward.  Every rule must strictly decrease this order, which makes
 rewriting terminate; confluence is *checked*, never assumed.
 
 Homogeneity is checked where outside input enters: every rule when the
-presentation is built, and the terms of an element made by
-``Element(algebra, terms)`` or ``AlgebraPresentation.element(monos)``, each
-term first checked to be one integer exponent >= 0 per generator
-(``check_mono``, which raises ``PresentationError``).  An operand of ``+`` or
-``*`` that is not an ``Element`` is a ``TypeError``.
+presentation is built, and an element made by ``Element(algebra, monos)``,
+the one checked constructor: each monomial is one integer exponent >= 0 per
+generator (``check_mono``, which raises ``PresentationError``), the element
+holds the normal form of their GF(2) sum, so elements compare by their
+terms, and terms of two degrees are refused.  A rule's sides are read as
+written (``rule_text``).  An operand of ``+`` or ``*`` that is not an
+``Element`` is a ``TypeError``.
 Arithmetic needs no check, because the rules are homogeneous: rewriting
 keeps a monomial's degree, so a product of elements of degrees i and j
 has degree i + j, a Frobenius square 2i, and a sum the common degree of
@@ -304,13 +306,7 @@ class AlgebraPresentation:
     def gen(self, name: str) -> "Element":
         if name not in self.gen_index:
             raise PresentationError(f"unknown generator {name!r}")
-        return self.element([self.gen_mono(name)])
-
-    def element(self, monos) -> "Element":
-        """The normal form of the GF(2) sum of ``monos``, each checked by
-        ``check_mono``; refuses a sum with terms of two degrees."""
-        terms = self.normal_form(map(self.check_mono, monos))
-        return _element(self, terms, _common_degree(self, terms))
+        return Element(self, [self.gen_mono(name)])
 
     def nonzero_elements(self, q: int) -> list["Element"]:
         """Every nonzero element of degree ``q``, one per bit mask 1, 2, 3, ...
@@ -341,7 +337,7 @@ class AlgebraPresentation:
         monos = []
         for part in text.split("+"):
             monos.append(self.parse_mono(part))
-        return self.element(monos)
+        return Element(self, monos)
 
     def parse_mono(self, text: str) -> Mono:
         text = text.strip()
@@ -358,6 +354,12 @@ class AlgebraPresentation:
             exps[self.gen_index[name]] += power
         return tuple(exps)
 
+    def rule_text(self, rule: RewriteRule) -> str:
+        """``lhs = rhs`` as the rule is written: its right side is not
+        reduced, so ``b^2 = a*b`` stays so where ``a*b`` reduces further."""
+        rhs = sorted(rule.rhs, key=self.order_key, reverse=True)
+        return f"{self.mono_str(rule.lhs)} = {' + '.join(map(self.mono_str, rhs)) or '0'}"
+
     def __repr__(self):
         label = self.name or "presentation"
         return f"AlgebraPresentation({label}: {len(self.generators)} gens, {len(self.rules)} rules)"
@@ -366,21 +368,22 @@ class AlgebraPresentation:
 class Element:
     """A GF(2) sum of normal-form monomials, homogeneous or zero.
 
-    ``degree`` is the common degree of the terms, None for zero.  The
-    constructor checks each term (``check_mono``) and that the terms share
-    one degree; arithmetic knows it in advance (see the module docstring)
-    and builds through ``_element`` without the checks.  A sum of two
-    nonzero elements of unequal degrees is refused, and an operand that is
-    not an ``Element`` is a ``TypeError``.
+    ``Element(algebra, monos)`` checks each monomial, reduces their GF(2)
+    sum to normal form and refuses terms of two degrees; arithmetic builds
+    through ``_element`` with neither (see the module docstring).
+    ``degree`` is the common degree of the terms, None for zero.  A sum of
+    two nonzero elements of unequal degrees is refused, and an operand that
+    is not an ``Element`` is a ``TypeError``.
     """
 
     __slots__ = ("algebra", "terms", "degree")
 
-    def __init__(self, algebra: AlgebraPresentation, terms: frozenset[Mono]):
-        terms = frozenset(map(algebra.check_mono, terms))
-        self.algebra = algebra
-        self.terms = terms
-        self.degree = _common_degree(algebra, terms)
+    def __init__(self, algebra: AlgebraPresentation, monos):
+        terms = algebra.normal_form(map(algebra.check_mono, monos))
+        degrees = {algebra.mono_degree(m) for m in terms}
+        if len(degrees) > 1:
+            raise ValueError("element terms must share a single degree")
+        self.algebra, self.terms, self.degree = algebra, terms, min(degrees, default=None)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -460,19 +463,11 @@ class Element:
         return f"Element({self})"
 
 
-def _common_degree(algebra: AlgebraPresentation, terms: frozenset[Mono]) -> int | None:
-    """The one degree of checked ``terms``, None for no terms; terms of two
-    degrees are refused."""
-    degrees = {algebra.mono_degree(m) for m in terms}
-    if len(degrees) > 1:
-        raise ValueError("element terms must share a single degree")
-    return degrees.pop() if degrees else None
-
-
 def _element(algebra: AlgebraPresentation, terms: frozenset[Mono],
              degree: int | None) -> Element:
-    """Arithmetic's constructor: ``terms`` are known to lie in ``degree``, so
-    ``Element.__init__``'s checks are skipped.  Empty terms give degree None."""
+    """Arithmetic's constructor: ``terms`` are known to be in normal form and
+    of ``degree``, so ``Element.__init__`` is skipped.  Empty terms give
+    degree None."""
     elem = object.__new__(Element)
     elem.algebra, elem.terms, elem.degree = algebra, terms, degree if terms else None
     return elem
@@ -580,5 +575,5 @@ def parse_presentation(text: str, name: str = "") -> AlgebraPresentation:
 def format_presentation(pres: AlgebraPresentation) -> str:
     """Serialize to the same ``gen``/``rel`` format ``parse_presentation`` reads."""
     lines = [f"gen {g.name} {g.degree}" for g in pres.generators]
-    lines += [f"rel {pres.mono_str(rule.lhs)} = {Element(pres, rule.rhs)}" for rule in pres.rules]
+    lines += [f"rel {pres.rule_text(rule)}" for rule in pres.rules]
     return "\n".join(lines) + "\n"

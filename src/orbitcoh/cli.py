@@ -42,7 +42,7 @@ def _finding_fields(finding: spectral.GuardFinding | None) -> dict:
     if finding is None:
         return dict.fromkeys(("guard", "page", "bidegree", "relation", "values", "degrees"))
     return {"guard": finding.guard, "page": finding.page, "bidegree": finding.bidegree,
-            "relation": finding.relation and finding.relation_text(),
+            "relation": finding.relation and finding.fiber.rule_text(finding.relation),
             "values": finding.values and finding.value_texts(),
             "degrees": finding.degrees}
 

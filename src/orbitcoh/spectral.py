@@ -234,11 +234,6 @@ class GuardFinding:
     degrees: tuple[int, ...] | None = None
     dim_x: int | None = None
 
-    def relation_text(self) -> str:
-        """The violated relation, ``lhs = rhs``."""
-        rule = self.relation
-        return f"{self.fiber.mono_str(rule.lhs)} = {Element(self.fiber, rule.rhs)}"
-
     def value_texts(self) -> tuple[str, str]:
         """The two values of d_r on the relation's sides, without ``t^r``."""
         return tuple(str(Element(self.fiber, terms)) for terms in self.values)
@@ -248,7 +243,7 @@ class GuardFinding:
         r = self.page
         if self.guard == "leibniz":
             lhs, rhs = self.value_texts()
-            return (f"page {r}: relation {self.relation_text()} is violated: "
+            return (f"page {r}: relation {self.fiber.rule_text(self.relation)} is violated: "
                     f"the differential sends the two sides to t^{r}*({lhs}) "
                     f"and t^{r}*({rhs})")
         if self.guard == "square_zero":
@@ -368,9 +363,9 @@ def differential_value(fiber: AlgebraPresentation,
     business in ``extend_by_leibniz``.
 
     Terms are XORed into one set by the same ``reduce_mono`` calls that
-    ``fiber.element([lowered]) * target`` makes, on any presentation.
+    ``Element(fiber, [lowered]) * target`` makes, on any presentation.
     """
-    return Element(fiber, frozenset(_leibniz_terms(fiber, active, mono)))
+    return Element(fiber, _leibniz_terms(fiber, active, mono))
 
 
 def _leibniz_terms(fiber, active, mono: Mono) -> set[Mono]:

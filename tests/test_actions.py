@@ -49,12 +49,11 @@ def every_degree_ring_check(cand):
     pres = cand.pres
     for rule in pres.rules:
         lhs_img = apply_candidate(cand, rule.lhs)
-        rhs_img = apply_candidate(cand, Element(pres, rule.rhs))
+        rhs_img = pres.zero()
+        for mono in rule.rhs:     # as written: a reduced side can read other generators
+            rhs_img = rhs_img + apply_candidate(cand, mono)
         if lhs_img != rhs_img:
-            rhs_elem = Element(pres, rule.rhs)
-            return False, (
-                f"relation {pres.mono_str(rule.lhs)} = {rhs_elem} maps to "
-                f"{lhs_img} != {rhs_img}")
+            return False, f"relation {pres.rule_text(rule)} maps to {lhs_img} != {rhs_img}"
     for q in range(1, pres.top_degree + 1):
         basis = pres.degree_basis(q)
         if not basis:
@@ -67,7 +66,7 @@ def every_degree_ring_check(cand):
 
 def fixes_degree(cand, q):
     """Reference: the candidate fixes every basis monomial of degree ``q``."""
-    return all(apply_candidate(cand, mono) == cand.pres.element([mono])
+    return all(apply_candidate(cand, mono) == Element(cand.pres, [mono])
                for mono in cand.pres.degree_basis(q))
 
 
@@ -152,6 +151,14 @@ def decomposable_generators():
                               "rel d = a*b\nrel a^2 = 0\nrel b^2 = 0\nrel e^2 = 0\n"),
     }
     return [parse_presentation(text, name) for name, text in texts.items()]
+
+
+def reducible_right_side():
+    """A confluent presentation whose first rule ``b^2 = a*b`` has a right
+    side that another rule reduces further, to e^2; series [1, 3, 4, 1]."""
+    return parse_presentation(
+        "gen e 1\ngen a 1\ngen b 1\nrel b^2 = a*b\nrel a*b = e^2\nrel e^3 = 0\n"
+        "rel a^3 = 0\nrel b^3 = 0\nrel e^2*b = e^2*a\nrel e^2*a = 0\n", "P")
 
 
 def rules_reversed(pres):
@@ -267,6 +274,15 @@ class TestCandidate:
     def test_refuses_image_of_another_degree(self, images, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             EndoCandidate(self.q13, tuple(map(self.q13.parse_element, images)))
+
+    def test_an_image_made_from_an_unreduced_monomial(self):
+        # c^2 = x*c in Q(1, 3): d -> d + c^2 is d -> d + x*c, and gets its
+        # record (once a KeyError on the term c^2 in the ring check)
+        d = self.q13.gen("d")
+        built = EndoCandidate(self.q13, (self.q13.gen("x"), self.q13.gen("c"),
+                                         d + Element(self.q13, [(0, 2, 0)])))
+        assert built.describe() == "x -> x, c -> c, d -> d + x*c"
+        assert _record(built) == _record(candidate(self.q13, x="x", c="c", d="d + x*c"))
 
     def test_zero_image_is_allowed(self):
         cand = candidate(self.q13, x="x", c="0", d="d")
@@ -452,6 +468,35 @@ class TestSharedRelationVerdicts:
         assert [evaluated[rule.lhs] for rule in pres.rules] == [3, 3, 7]
 
 
+class TestRuleReadAsWritten:
+    """The relation check applies T to a rule's monomials as written, and keys
+    its shared verdict on the generators they read; the reduced right side
+    of ``b^2 = a*b`` is e^2, which reads neither a nor b."""
+
+    def test_the_rule_reads_a_and_b_but_reduces_to_e_squared(self):
+        pres = reducible_right_side()
+        assert pres.check_confluence() is None
+        assert pres.poincare_series(4) == [1, 3, 4, 1, 0]
+        rule = pres.rules[0]
+        assert pres.rule_text(rule) == "b^2 = a*b"
+        assert Element(pres, rule.rhs) == pres.parse_element("e^2")
+        assert actions._ring_facts(pres).reads[0] == (1, 2)
+
+    def test_records_and_survivors(self):
+        pres = reducible_right_side()
+        records = classify(pres)
+        assert len(records) == 343
+        assert [r.candidate.describe() for r in records if r.stage is None] == [
+            "e -> e, a -> a, b -> b"]
+        for r in records:
+            assert is_ring_endomorphism(r.candidate) == every_degree_ring_check(r.candidate)
+        # every record's description, stage and reason: reducing a right
+        # side before applying T moves records and adds a survivor
+        rows = [(r.candidate.describe(), r.stage, r.reason) for r in records]
+        digest = hashlib.sha256("\n".join(map(repr, rows)).encode()).hexdigest()[:16]
+        assert digest == "702a1fd6ce42a72b"
+
+
 class TestInvolutive:
     def test_identity(self):
         q13 = wall_presentation(1, 3)
@@ -565,7 +610,7 @@ def first_basis_witness(cand):
     m*T(m) != 0, as a witness, or None."""
     pres = cand.pres
     for mono in pres.degree_basis(pres.top_degree // 2):
-        a = pres.element([mono])
+        a = Element(pres, [mono])
         product = a * apply_candidate(cand, a)
         if product:
             return ObstructionWitness(a, product)

@@ -20,7 +20,7 @@ from orbitcoh.algebra import (
     wall_presentation,
 )
 from orbitcoh.algebra import _mono_div, _mono_divides, _mono_mul
-from test_actions import monomial_presentations
+from test_actions import monomial_presentations, reducible_right_side
 from test_spectral import spheres, two_generator_fibers
 
 
@@ -375,7 +375,7 @@ def wall_elements(draw, pres, q=None):
     if not basis:
         return pres.zero()
     mask = draw(st.integers(0, 2 ** len(basis) - 1))
-    return pres.element([m for i, m in enumerate(basis) if mask >> i & 1])
+    return Element(pres, [m for i, m in enumerate(basis) if mask >> i & 1])
 
 
 class TestRingAxioms:
@@ -586,9 +586,9 @@ class TestValidation:
             q13.gen("x") + q13.gen("d")
 
     @pytest.mark.parametrize("make", [
-        lambda q: q.element([(1,)]),                   # once read as 0
-        lambda q: q.element([(0, 0, 1, 5)]),           # once read as d
-        lambda q: q.element([(1.0, 0, 0)]),
+        lambda q: Element(q, [(1,)]),                  # once read as 0
+        lambda q: Element(q, [(0, 0, 1, 5)]),          # once read as d
+        lambda q: Element(q, [(1.0, 0, 0)]),
         lambda q: Element(q, frozenset({(1,)})),       # once x, of degree 1
         lambda q: Element(q, frozenset({(-1, 1, 0)})),  # once c, of degree 0
     ], ids=["element-short", "element-long", "element-float", "Element-short",
@@ -701,6 +701,47 @@ class TestTextFormat:
     def test_roundtrip_random_monomial_presentations(self, pres):
         assert_round_trip(pres)
 
+    def test_roundtrip_keeps_a_right_side_as_written(self):
+        # a*b reduces to e^2, but the rule is written and read back as b^2 = a*b
+        pres = reducible_right_side()
+        assert "rel b^2 = a*b\n" in format_presentation(pres)
+        assert_round_trip(pres)
+
+
+def raw_monomials_to(pres):
+    """Every exponent tuple with each exponent up to its generator's cap + 1
+    and degree up to top + 1 (up to 12 in an infinite presentation)."""
+    up_to = 12 if pres.top_degree is None else pres.top_degree + 1
+    ranges = [range((up_to // g.degree if cap is None else cap + 1) + 1)
+              for g, cap in zip(pres.generators, pres._caps)]
+    return [m for m in itertools.product(*ranges) if pres.mono_degree(m) <= up_to]
+
+
+class TestCheckedConstructor:
+    """``Element(pres, monos)`` holds the normal form of the sum of ``monos``."""
+
+    def test_every_monomial_is_reduced(self):
+        # a product with the unit renormalises, so it is the normal form
+        presentations = builtin_presentations()
+        assert len(presentations) == 82
+        for pres in presentations:
+            for mono in raw_monomials_to(pres):
+                elem = Element(pres, [mono])
+                assert elem == elem * pres.unit(), (pres.name, mono)
+
+    def test_wall_squares(self):
+        q13 = wall_presentation(1, 3)
+        assert Element(q13, [(2, 0, 0)]) == q13.zero()
+        assert Element(q13, [(2, 0, 0)]).degree is None
+        assert Element(q13, [(0, 2, 0)]) == q13.gen("x") * q13.gen("c")
+
+    def test_terms_of_two_degrees_are_refused_after_reduction(self):
+        # x^2 reduces to 0, so x^2 + c is c; x + d keeps two degrees
+        q13 = wall_presentation(1, 3)
+        assert Element(q13, [(2, 0, 0), (0, 1, 0)]) == q13.gen("c")
+        with pytest.raises(ValueError, match="^element terms must share a single degree$"):
+            Element(q13, [(1, 0, 0), (0, 0, 1)])
+
 
 def groebner_basis(pres):
     """sympy's reduced Groebner basis over GF(2), in grevlex, of the ideal
@@ -775,7 +816,7 @@ def assert_products_congruent(pres, pairs):
     orders, so the two normal forms may differ."""
     basis, monomial = groebner_basis(pres)
     for a, b in pairs:
-        product = pres.element([a]) * pres.element([b])
+        product = Element(pres, [a]) * Element(pres, [b])
         assert basis.contains(
             sympy.Add(monomial(_mono_mul(a, b)), *map(monomial, product.terms))), (
             pres.name, a, b, str(product))

@@ -372,6 +372,15 @@ class TestAssignmentChecks:
         with pytest.raises(ValueError, match=f"^the target of {name} has degree"):
             TestTargetGuards.hand_built(q13, name, q13.parse_element(elem))
 
+    def test_a_target_made_from_an_unreduced_monomial(self):
+        # c = x in Q(0, 3), so Element reduces the target c to x: case B1,
+        # with the verdict of the target x (once a KeyError on the term c)
+        q03 = wall_presentation(0, 3)
+        built = DifferentialAssignment(q03, (None, None, Element(q03, [(0, 1, 0)])))
+        as_x = DifferentialAssignment(q03, (None, None, q03.gen("x")))
+        assert built.case_id == as_x.case_id == "B1"
+        assert verdict_record(q03, built) == verdict_record(q03, as_x)
+
 
 class TestTurnPage:
     def test_zero_differential_keeps_dimensions(self):
@@ -829,7 +838,7 @@ def differential_value_by_elements(fiber, active, mono):
         if e % 2:
             lowered = list(mono)
             lowered[idx] = e - 1
-            total = total + fiber.element([tuple(lowered)]) * tgt
+            total = total + Element(fiber, [tuple(lowered)]) * tgt
     return total
 
 
@@ -936,9 +945,8 @@ def relation_guard_by_elements(fiber, r, active):
         for mono in rule.rhs:
             rhs_val = rhs_val + differential_value_by_elements(fiber, active, mono)
         if lhs_val != rhs_val:
-            rhs_elem = Element(fiber, rule.rhs)
             raise ReferenceGuardViolation(
-                f"page {r}: relation {fiber.mono_str(rule.lhs)} = {rhs_elem} is violated: "
+                f"page {r}: relation {fiber.rule_text(rule)} is violated: "
                 f"the differential sends the two sides to t^{r}*({lhs_val}) "
                 f"and t^{r}*({rhs_val})")
 
