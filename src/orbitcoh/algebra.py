@@ -11,7 +11,8 @@ exponents with the *last listed* generator most significant.  Listing a
 generator earlier therefore makes it smaller; for the Wall presentation
 ``x`` precedes ``c`` precisely so that ``c^(m+1) -> c^m * x`` rewrites
 downward.  Every rule must strictly decrease this order, which makes
-rewriting terminate; confluence is *checked*, never assumed.
+rewriting terminate.  Arithmetic assumes confluence, which
+``check_confluence()`` certifies.
 
 Homogeneity is checked where outside input enters: every rule when the
 presentation is built, and an element made by ``Element(algebra, monos)``,
@@ -165,7 +166,7 @@ class AlgebraPresentation:
 
     def _validate_rule(self, lhs, rhs) -> RewriteRule:
         lhs = self.check_mono(lhs, "rule monomial")
-        rhs = frozenset(self.check_mono(m, "rule monomial") for m in rhs)
+        rhs = [self.check_mono(m, "rule monomial") for m in rhs]
         deg = self.mono_degree(lhs)
         if deg < 1:
             raise PresentationError("rule left-hand side must have positive degree")
@@ -176,7 +177,8 @@ class AlgebraPresentation:
             if self.order_key(m) >= self.order_key(lhs):
                 raise PresentationError(
                     f"rule {self.mono_str(lhs)} does not decrease the monomial order")
-        return RewriteRule(lhs, rhs)
+        # over GF(2) a monomial written twice cancels
+        return RewriteRule(lhs, frozenset(m for m in rhs if rhs.count(m) % 2))
 
     def _exponent_caps(self) -> tuple[int | None, ...]:
         """Largest exponent of each generator in a normal-form monomial.
@@ -195,15 +197,15 @@ class AlgebraPresentation:
         """Largest degree with a nonzero basis, or None when unbounded.
 
         A generator without an exponent cap is unbounded and the algebra is
-        infinite.
+        infinite.  Row 0 holds the unit, so the scan down from the ceiling
+        returns; its first miss fills every row.
         """
         if None in self._caps:
             return None
         ceiling = sum(b * d for b, d in zip(self._caps, self._degrees))
-        for q in range(ceiling, -1, -1):    # the first miss fills every row
+        for q in range(ceiling, -1, -1):
             if self.degree_basis(q):
                 return q
-        return 0
 
     # -- rewriting ---------------------------------------------------------
 

@@ -108,10 +108,7 @@ class Subspace:
 
     def add(self, vectors) -> "Subspace":
         """Span of this subspace together with the given vectors."""
-        extra = tuple(vectors)
-        if not extra:
-            return self
-        return Subspace.from_vectors(self.basis + extra, self.ambient_dim)
+        return Subspace.from_vectors(self.basis + tuple(vectors), self.ambient_dim)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"

@@ -429,8 +429,6 @@ def extend_by_leibniz(page: Page, assignment: DifferentialAssignment) -> PageDif
         raise ValueError("assignment belongs to a different fiber")
     r = page.r
     active = assignment.active_at(r)
-    if not active:
-        return PageDifferential(r, active, {})   # no row moves: turn_page keeps every cell
     for rule in fiber.rules:
         lhs_terms = _leibniz_terms(fiber, active, rule.lhs)
         rhs_terms: set[Mono] = set()
@@ -579,7 +577,7 @@ def pages(fiber: AlgebraPresentation, assignment: DifferentialAssignment):
     yield page
     while page.r < fiber.top_degree + 2:
         r, stable, cells = page.r, page.stable, page.cells
-        if r in assignment._pages:      # some generator transgresses on page r
+        if r in assignment.active_pages():    # some generator transgresses on page r
             stable, cells = _page_step(table, assignment, r, stable, cells)
         page = Page(fiber, r + 1, stable, cells)
         yield page

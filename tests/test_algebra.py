@@ -21,6 +21,7 @@ from orbitcoh.algebra import (
 )
 from orbitcoh.algebra import _mono_div, _mono_divides, _mono_mul
 from test_actions import monomial_presentations, reducible_right_side
+from test_bench_contract import load_bench
 from test_spectral import spheres, two_generator_fibers
 
 
@@ -125,6 +126,22 @@ class TestConfluence:
 
     def test_dold_presentation_confluent(self):
         assert dold_presentation(1, 3).check_confluence() is None
+
+    def test_every_presentation_the_traffic_builds_is_confluent(self):
+        # arithmetic assumes confluence and nothing under src/ checks it: the
+        # Wall fibers up to Q(15, 15) and actions_grid's, the Dold fibers, the
+        # spheres, fiber_sweep's fibers at both CI seeds and the base F2[t]
+        workloads = load_bench("workloads")
+        walls = {(m, n) for m in range(16) for n in range(16)}
+        walls.update(spec[1:] for spec in workloads.make_inputs("actions_grid", 0).specs)
+        sweep = [workloads.build_fiber(spec)[1] for seed in (0, 1)
+                 for spec in workloads.make_inputs("fiber_sweep", seed).specs]
+        presentations = ([wall_presentation(m, n) for m, n in sorted(walls)]
+                         + [dold_presentation(m, n) for m in range(7) for n in range(7)]
+                         + spheres() + sweep + [base_presentation()])
+        assert len(presentations) == 544
+        for pres in presentations:
+            assert pres.check_confluence() is None, pres.name
 
     def test_conflicting_rules_reported(self):
         bad = AlgebraPresentation(
@@ -706,6 +723,29 @@ class TestTextFormat:
         pres = reducible_right_side()
         assert "rel b^2 = a*b\n" in format_presentation(pres)
         assert_round_trip(pres)
+
+    def test_a_right_side_monomial_written_twice_cancels(self):
+        # over GF(2), y^2 = x*y + x*y is y^2 = 0, as Element and the parser read it
+        pres = AlgebraPresentation([("x", 1), ("y", 1)],
+                                   [((0, 2), [(1, 1), (1, 1)]), ((2, 0), ())])
+        y = pres.gen("y")
+        assert not (y * y)
+        assert pres.rule_text(pres.rules[0]) == "y^2 = 0"
+        parsed = parse_presentation("gen x 1\ngen y 1\nrel y^2 = x*y + x*y\nrel x^2 = 0\n")
+        assert parsed.rules == pres.rules
+        assert_round_trip(pres)
+        # written three times, one copy is left
+        thrice = AlgebraPresentation([("x", 1), ("y", 1)],
+                                     [((0, 2), [(1, 1)] * 3), ((2, 0), ())])
+        assert thrice.rules[0].rhs == frozenset([(1, 1)])
+        assert thrice.rule_text(thrice.rules[0]) == "y^2 = x*y"
+        assert str(thrice.gen("y") * thrice.gen("y")) == "x*y"
+        assert_round_trip(thrice)
+
+    def test_a_cancelling_monomial_is_still_checked(self):
+        # x^3 written twice would cancel, but it is of another degree than y^2
+        with pytest.raises(PresentationError, match="non-homogeneous"):
+            AlgebraPresentation([("x", 1), ("y", 2)], [((0, 2), [(3, 0), (3, 0)])])
 
 
 def raw_monomials_to(pres):

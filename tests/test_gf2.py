@@ -232,7 +232,7 @@ class TestSubspace:
         n, vectors = m
         s = Subspace.from_vectors(vectors, n)
         again = Subspace.from_vectors(s.basis, s.ambient_dim)
-        assert s == again
+        assert s == again == s.add([])
 
     @given(small_matrices, st.randoms(use_true_random=False))
     def test_span_independent_of_row_order(self, m, rng):

@@ -1,9 +1,11 @@
-"""Every ``python`` block of README.md, run in order in one namespace.
+"""The examples of README.md: every ``python`` block, run in order in one
+namespace, and every ``$ orbitcoh`` block.
 
 A statement's comment is the comment on its lines and on the comment-only
 lines right after it.  A ``print`` call must print its comment, and a bare
 ``EndoCandidate(...)`` call must raise ``ValueError`` with its comment as
-the message.
+the message.  A command block shows lines of the command's output in their
+order, with ``...`` for the lines it leaves out.
 """
 
 import ast
@@ -15,11 +17,22 @@ from pathlib import Path
 
 import pytest
 
+from orbitcoh import cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def python_blocks() -> list[str]:
     return re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+
+
+def command_blocks() -> list[tuple[list[str], list[str]]]:
+    """``(arguments, lines shown)`` for each ``$ orbitcoh`` block, without ``...``."""
+    blocks = []
+    for block in re.findall(r"^```\n\$ orbitcoh (.*?)^```", README.read_text(), re.M | re.S):
+        command, *shown = block.splitlines()
+        blocks.append((command.split(), [line for line in shown if line != "..."]))
+    return blocks
 
 
 def commented_statements(source: str):
@@ -60,3 +73,16 @@ def test_every_python_block_prints_and_raises_what_it_says():
             else:
                 exec(code, namespace)
     assert refusals == 3
+
+
+def test_every_command_block_shows_its_output_in_order():
+    blocks = command_blocks()
+    assert len(blocks) == 2
+    for argv, shown in blocks:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        lines = iter(out.getvalue().splitlines())
+        for line in shown:
+            # ``in`` consumes the output up to the match, so order counts
+            assert line in lines, (argv, line)

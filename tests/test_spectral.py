@@ -386,7 +386,13 @@ class TestTurnPage:
     def test_zero_differential_keeps_dimensions(self):
         q13 = wall_presentation(1, 3)
         page = build_e2(q13)
-        nxt = turn_page(page, extend_by_leibniz(page, assignments_by_id(q13)["Z"]))
+        diff = extend_by_leibniz(page, assignments_by_id(q13)["Z"])
+        # an idle page: every row of d_2 is zero, and the turn keeps the
+        # stable column and the very cells
+        assert not any(any(matrix) for matrix in diff.row_matrices.values())
+        nxt = turn_page(page, diff)
+        assert nxt.stable == page.stable
+        assert all(nxt.cells[pos] is cell for pos, cell in page.cells.items())
         assert nxt.r == 3
         for p in range(11):
             for q in range(q13.top_degree + 1):
@@ -1667,7 +1673,7 @@ class TestRunCaseWalk:
 
 class TestPageDifferentialApply:
     def test_missing_row_maps_to_zero(self):
-        # an idle page has no rows at all, and d_r is zero on every vector
+        # a row without a matrix (every row below r - 1) maps every vector to 0
         diff = PageDifferential(3, {}, {0: [0b1]})
         assert diff.apply(5, 0b101) == 0
         assert diff.apply(5, 0) == 0
