@@ -92,9 +92,9 @@ class Subspace:
     def reduce(self, v: int) -> int:
         """Canonical representative of ``v`` modulo this subspace: zero on
         every row's pivot bit.  A full subspace (every E_2 cycle space) has
-        every bit as a pivot, so ``v`` reduces to 0 without a pass."""
+        every bit as a pivot, so only the bits of ``v`` above it are left."""
         if len(self.basis) == self.ambient_dim:
-            return 0
+            return v >> self.ambient_dim << self.ambient_dim
         for row in self.basis:
             if v & row & -row:
                 v ^= row

@@ -596,6 +596,9 @@ def run_case(fiber: AlgebraPresentation, dim_x: int,
         raise ValueError("assignment belongs to a different fiber")
     table = _page_table(fiber)
     top = fiber.top_degree
+    if not isinstance(dim_x, int) or dim_x < top:
+        raise ValueError(f"dim_x must be an integer at least the fiber's top degree {top}, "
+                         f"not {dim_x!r}")
     stable, cells = table[None]
     try:
         for r in assignment.active_pages():
@@ -606,7 +609,7 @@ def run_case(fiber: AlgebraPresentation, dim_x: int,
     page = Page(fiber, top + 2, stable, cells)
     last = max(dim_x + 1, dim_x + top, stable + top)
     totals = page.total_dimensions(last)
-    violations = [j for j in range(max(dim_x + 1, 0), last + 1) if totals[j] > 0]
+    violations = [j for j in range(dim_x + 1, last + 1) if totals[j] > 0]
     if not violations:
         return CaseVerdict(assignment, None, page)
     return CaseVerdict(assignment, GuardFinding("vanishing", fiber, degrees=tuple(violations),

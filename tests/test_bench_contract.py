@@ -3,9 +3,11 @@
 ``bench/layers.py`` lists ``(owner, attr)`` pairs and the tracer replaces
 ``vars(owner)[attr]``, and ``bench/workloads.py``'s correctness gate reads
 report and record fields; a rename under ``src/`` would break the benchmark
-without failing any other test.
+without failing any other test.  Seed 1, which only renames and reorders,
+must move no verdict of the spectral workloads either.
 """
 
+import collections
 import dataclasses
 import importlib.util
 import sys
@@ -67,3 +69,25 @@ def test_actions_gate_reads_images_and_status():
     eliminated = tuple(dataclasses.replace(r, stage="ring_endomorphism") for r in report.records)
     assert workloads._check_actions(dataclasses.replace(report, records=eliminated)) == [
         "Q(1,3): the identity candidate was eliminated"]
+
+
+def test_seed_1_moves_no_verdict_of_the_spectral_workloads():
+    # seed 1 shuffles the calls and renames and reorders the fiber_sweep
+    # generators; each fiber keeps its (degree, exponent) pairs, and with them
+    # its (outcome, reason) rows and its refusals by exception type
+    workloads = load_bench("workloads")
+    for workload in ("wall_grid", "fiber_sweep"):
+        seen = []
+        for seed in (0, 1):
+            inputs = workloads.make_inputs(workload, seed)
+            keys = {}
+            for spec in inputs.specs:
+                label = workloads.build_fiber(spec)[0]
+                keys[label] = (spec[:1] + tuple(sorted((deg, exp) for _, deg, exp in spec[1:]))
+                               if spec[0] == "fiber" else spec)
+            done = workloads.run_pass(workload, inputs, check=True)
+            assert done.problems == [], (workload, seed)
+            seen.append(collections.Counter((keys[label], outcome, reason)
+                                            for label, _, outcome, reason in done.rows))
+        assert seen[0] == seen[1], workload
+        assert sum(seen[0].values()) == {"wall_grid": 100, "fiber_sweep": 472}[workload]

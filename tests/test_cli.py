@@ -52,6 +52,21 @@ def test_actions_json_matches_the_library():
     assert out["survivors"] == len(report.survivors())
 
 
+def test_actions_json_of_q13_keeps_the_generator_order_and_flags_each_survivor():
+    run = orbitcoh("actions", "1", "3", "--json")
+    assert run.returncode == 0, run.stderr
+    records = json.loads(run.stdout)["records"]
+    assert len(records) == 27
+    # a JSON object keeps its key order: the images come as x, c, d
+    assert all(list(r["images"]) == ["x", "c", "d"] for r in records)
+    # the four survivors by the images they move: the identity alone is
+    # trivial in degrees >= 2
+    trivial = {", ".join(f"{g} -> {i}" for g, i in r["images"].items() if g != i):
+               r["trivial_in_degrees_ge_2"] for r in records if r["status"] == "survives"}
+    assert trivial == {"": True, "d -> d + x*c": False, "c -> c + x": False,
+                       "c -> c + x, d -> d + x*c": False}
+
+
 def test_actions_json_triviality_is_checked_on_survivors_alone():
     # the CLI computes the flag itself: is_trivial_in_degrees_ge_2 on a
     # survivor, null on a record that was eliminated
@@ -143,11 +158,13 @@ def test_spectral_reports_a_refused_case_and_exits_1():
     # Q(m even, n odd) raises on case D4 until ROADMAP Open item 1 is done;
     # the command lists the refusal instead of dying on it
     run = orbitcoh("spectral", "--wall", "2", "3", "--json")
-    out = json.loads(run.stdout)
-    refused = [c for c in out["cases"] if c["outcome"] == "error"]
-    assert run.returncode == (1 if refused else 0)
-    assert all(c["reason"] == "SpectralModelError" for c in refused)
-    assert "Traceback" not in run.stderr
+    assert run.returncode == 1, run.stderr
+    assert run.stderr == ""
+    cases = json.loads(run.stdout)["cases"]
+    assert len(cases) == 20
+    assert [c["case"] for c in cases if c["outcome"] == "survives"] == ["A", "C", "D3"]
+    assert [(c["case"], c["reason"], c["detail"]) for c in cases if c["outcome"] == "error"] == [
+        ("D4", "SpectralModelError", "declared target t^3 for d is not a nonzero class on page 3")]
 
 
 def test_bad_arguments_exit_2():

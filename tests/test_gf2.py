@@ -286,6 +286,17 @@ def test_reduce_matches_the_row_loop(drawn):
     assert (space.dim == space.ambient_dim) <= (space.reduce(v) == 0)
 
 
+@given(wide_subspaces(), st.integers(0, 2 ** 128 - 1))
+@settings(max_examples=300)
+def test_reduce_keeps_the_bits_above_the_space(drawn, wide):
+    # a vector up to twice the ambient width: the bits above the space are
+    # no row's pivot, so every space, a full one too, leaves them as they are
+    space, _ = drawn
+    v = wide >> 128 - 2 * space.ambient_dim
+    assert space.reduce(v) == reduce_by_rows(space, v)
+    assert space.reduce(v) >> space.ambient_dim == v >> space.ambient_dim
+
+
 class TestSolve:
     def test_unique_solution(self):
         rows = [vec([1, 1, 0]), vec([0, 1, 1])]

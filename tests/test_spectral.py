@@ -124,10 +124,11 @@ class TestBuildE2:
 
     def test_an_infinite_fiber_is_refused(self):
         # F2[t] has no top degree; each entry point refuses it before
-        # reading one
+        # reading one, and run_case before it reads dim_x
         base = base_presentation()
         asgn = DifferentialAssignment(base, (None,))
-        for call in (lambda: run_case(base, 0, asgn), lambda: build_e2(base),
+        for call in (lambda: run_case(base, 0, asgn), lambda: run_case(base, 8.5, asgn),
+                     lambda: build_e2(base),
                      lambda: enumerate_assignments(base), lambda: next(pages(base, asgn))):
             with pytest.raises(SpectralModelError) as info:
                 call()
@@ -447,6 +448,21 @@ class TestRunCase:
         assert verdict.outcome == "eliminated"
         assert verdict.reason == "vanishing_violation"
         assert "every degree" in verdict.detail
+
+    @pytest.mark.parametrize("dim_x", [8.5, "8", None])
+    def test_a_dim_x_that_is_not_an_integer_is_refused(self, dim_x):
+        q13 = wall_presentation(1, 3)
+        with pytest.raises(ValueError, match="must be an integer"):
+            run_case(q13, dim_x, assignments_by_id(q13)["A"])
+
+    @pytest.mark.parametrize("dim_x", [-3, 0, 7])
+    def test_a_dim_x_below_the_top_degree_is_refused(self, dim_x):
+        # X has the cohomology of Q(1,3), nonzero in degree 8, so dim X >= 8
+        q13 = wall_presentation(1, 3)
+        with pytest.raises(ValueError, match="top degree 8, not "):
+            run_case(q13, dim_x, assignments_by_id(q13)["A"])
+        with pytest.raises(ValueError, match="top degree 8, not "):
+            analyze_all(q13, dim_x)
 
     def test_circle_cases(self):
         s1 = sphere_presentation(1)

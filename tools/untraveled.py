@@ -4,7 +4,7 @@ The traffic, traced line by line with ``sys.settrace``:
 
 - one seed-0 and one seed-1 pass of every benchmark workload
   (``bench/workloads.py``), with the correctness gate on;
-- the ``orbitcoh`` commands of CI's "Console script" step, run in-process.
+- eight ``orbitcoh`` commands, run in-process (see ``COMMANDS``).
 
 A statement counts as run when a line of its header ran (decorators and
 the lines before its body, or the whole of a simple statement), or a
@@ -32,7 +32,8 @@ SRC = ROOT / "src" / "orbitcoh"
 
 WORKLOADS = ("wall_grid", "fiber_sweep", "actions_grid")
 SEEDS = (0, 1)
-# .github/workflows/tier1.yml, "Console script"
+# commands whose output tests/test_cli.py checks, and two whose records the
+# golden pins of tests/test_actions.py and tests/test_spectral.py check
 COMMANDS = (
     "actions 1 3",
     "actions 1 3 --json",
