@@ -50,7 +50,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass, field
-from operator import add
+from operator import add, index
 
 from . import gf2, wall
 from .algebra import AlgebraPresentation, Element, Mono, RewriteRule
@@ -369,8 +369,10 @@ def differential_value(fiber: AlgebraPresentation,
 
 
 def _leibniz_terms(fiber, active, mono: Mono) -> set[Mono]:
-    """The normal-form monomials of ``differential_value``, as a set: the one
-    Leibniz loop, behind the derivation matrices and the relation guard."""
+    """The normal-form monomials of ``differential_value``, as a set: the
+    Leibniz loop on raw monomials, behind ``differential_value`` and the
+    relation guard.  ``mono`` need not be a basis monomial, so the lowered
+    monomial is reduced too."""
     terms: set[Mono] = set()
     for name, tgt in active.items():
         idx = fiber.gen_index[name]
@@ -388,14 +390,31 @@ def _derivation_matrix(fiber, active, r: int, q: int) -> list[int]:
     """The derivation from row q to row q + 1 - r in E_2 coordinates: the
     images of the basis of row q, each the bit mask of its ``_leibniz_terms``.
 
-    ``active`` holds the targets of the generators transgressing on page r.
-    The terms are distinct, so their bits add up without carries.  A term
-    of any other degree than ``q + 1 - r`` is not in the index and raises
-    ``KeyError``.
+    ``active`` holds the targets of the generators transgressing on page r;
+    they are resolved to (generator index, target terms) once for the row.
+    Each image is XORed straight into an int: the bit of every normal-form
+    term of each product, so a term that occurs twice cancels, as in
+    ``_leibniz_terms``'s set.  A basis monomial is divisible by no
+    left-hand side, and neither is any divisor of it, so the lowered
+    monomial is a basis monomial, its own normal form, and only the
+    products are reduced.  A term of any other degree than ``q + 1 - r``
+    is not in the index and raises ``KeyError``.
     """
-    index = fiber.basis_index(q + 1 - r)
-    return [sum(1 << index[m] for m in _leibniz_terms(fiber, active, mono))
-            for mono in fiber.degree_basis(q)]
+    position = fiber.basis_index(q + 1 - r)
+    reduce_mono = fiber.reduce_mono
+    gens = [(fiber.gen_index[name], tgt.terms) for name, tgt in active.items()]
+    images = []
+    for mono in fiber.degree_basis(q):
+        vec = 0
+        for idx, terms in gens:
+            if mono[idx] % 2:
+                lowered = list(mono)
+                lowered[idx] -= 1
+                for b in terms:
+                    for m in reduce_mono(tuple(map(add, lowered, b))):
+                        vec ^= 1 << position[m]
+        images.append(vec)
+    return images
 
 
 @dataclass
@@ -596,6 +615,10 @@ def run_case(fiber: AlgebraPresentation, dim_x: int,
         raise ValueError("assignment belongs to a different fiber")
     table = _page_table(fiber)
     top = fiber.top_degree
+    try:    # any integer type is read as an int, as a presentation's degrees are
+        dim_x = index(dim_x)
+    except TypeError:   # a float or a string, refused below
+        pass
     if not isinstance(dim_x, int) or dim_x < top:
         raise ValueError(f"dim_x must be an integer at least the fiber's top degree {top}, "
                          f"not {dim_x!r}")

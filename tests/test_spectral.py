@@ -455,6 +455,19 @@ class TestRunCase:
         with pytest.raises(ValueError, match="must be an integer"):
             run_case(q13, dim_x, assignments_by_id(q13)["A"])
 
+    def test_a_dim_x_of_any_integer_type_is_read_as_an_int(self):
+        # read through __index__, as a presentation reads its degrees
+        class Eight:
+            def __index__(self):
+                return 8
+
+        q13 = wall_presentation(1, 3)
+        cases = assignments_by_id(q13)
+        assert run_case(q13, Eight(), cases["A"]).outcome == "survives"
+        found = run_case(q13, Eight(), cases["B1"]).finding
+        assert found == run_case(q13, 8, cases["B1"]).finding
+        assert type(found.dim_x) is int
+
     @pytest.mark.parametrize("dim_x", [-3, 0, 7])
     def test_a_dim_x_below_the_top_degree_is_refused(self, dim_x):
         # X has the cohomology of Q(1,3), nonzero in degree 8, so dim X >= 8
@@ -1114,6 +1127,51 @@ def test_generator_names_and_order_move_no_verdict():
         fiber = wall_presentation(m, n)
         uvw = renamed(fiber, ("u", "v", "w"))
         assert verdict_multiset(uvw) == verdict_multiset(fiber), fiber.name
+
+
+def assert_smith_gysin_identity(fibers):
+    """Check the identity on every limit page of ``fibers``, dim_x the top
+    degree, and return how many pages it checked and how many cases
+    ``run_case`` refused.
+
+    For any involution, the double cover X x EG -> X_G gives the exact
+    (Smith-Gysin) sequence ... -> H^(q-1)(X_G) -> H^q(X_G) -> H^q(X) ->
+    H^q(X_G) -> H^(q+1)(X_G) -> ..., the first and last maps multiplication
+    by t (Bredon, ch. III), and the image of H^q(X_G) -> H^q(X) is
+    E_inf^(0,q).  Exactness gives b_q = h_q - h_(q+1) + e_q + e_(q+1): b the
+    fiber's Betti numbers, h the limit page's totals and e its column 0.
+    It reads only the engine's own pages.  A survivor's limit page is its
+    E_inf; a vanishing elimination's is the last page ``pages()`` yields."""
+    limits, refused = 0, 0
+    for fiber in fibers:
+        top = fiber.top_degree
+        for asgn in enumerate_assignments(fiber):
+            try:
+                verdict = run_case(fiber, top, asgn)
+            except SpectralModelError:
+                refused += 1
+                continue
+            if verdict.reason == "leibniz_inconsistent":
+                continue
+            page = verdict.e_infinity or list(pages(fiber, asgn))[-1]
+            last = top + page.stable + 2
+            h = page.total_dimensions(last + 1)
+            for q in range(last + 1):
+                assert len(fiber.degree_basis(q)) == (
+                    h[q] - h[q + 1] + page.dim(0, q) + page.dim(0, q + 1)), (
+                        fiber.name, asgn.case_id, q)
+            limits += 1
+    return limits, refused
+
+
+class TestSmithGysinIdentity:
+    def test_every_limit_page_of_the_golden_fibers(self):
+        assert assert_smith_gysin_identity(golden_fibers()) == (448, 53)
+
+    @given(monomial_presentations().filter(lambda p: p.top_degree <= 12))
+    @settings(max_examples=60, deadline=None)
+    def test_random_monomial_presentations(self, fiber):
+        assert_smith_gysin_identity([fiber])
 
 
 def decided_verdicts(fibers):
