@@ -10,8 +10,9 @@ per subspace, so a ``Subspace`` is its RREF rows and nothing else, and
 every derived basis (kernels, images, coset representatives) is
 reproducible between runs.  ``kernel_vectors`` is the one elimination
 that records how each row was formed; ``kernel_basis`` and ``solve`` read
-their answers from it.  Plain elimination on int bit masks suffices at
-the measured widths: ``degree_basis(q)`` has at most 6 monomials on the
+their answers from it, on RREF sources the kernel's RREF basis, with no
+second ``rref``.  Plain elimination on int bit masks suffices at the
+measured widths: ``degree_basis(q)`` has at most 6 monomials on the
 wall_grid fibers and 172 on Q(3,5)×Q(3,5) (ROADMAP R).  Past one 30-bit
 digit ``Subspace.reduce`` slows down (CHANGES.md, its FOUND line).
 """
@@ -118,16 +119,21 @@ def kernel_vectors(images, sources) -> list[int]:
     """The vectors of ``span(sources)`` that a linear map sends to zero, given
     ``images[i]``, the image of ``sources[i]``.
 
-    One forward elimination on the pairs ``(image, source)``: each row keeps
-    the source combination whose image it is, so an image that reduces to
-    zero leaves a kernel vector in the sources' coordinates, with no basis
-    of relations in between.  The result spans the kernel, one vector for
-    each image that depends on the earlier ones; it is a basis when the
-    sources are independent.
+    One elimination on the pairs ``(image, source)``, last pair first: each
+    row keeps the source combination whose image it is, so an image that
+    reduces to zero leaves a kernel vector in the sources' coordinates.  The
+    result, in the pairs' order, spans the kernel, one vector per image that
+    depends on the later ones; it is a basis when the sources are independent.
+    On RREF sources by increasing pivot (a ``Subspace.basis``) it is the
+    kernel's RREF basis.  Source i leaves ``sources[i]`` plus sources of
+    higher index whose images entered the elimination, none that left a
+    vector.  Those have their pivots above source i's and are zero below
+    them, and RREF sources are zero on each other's pivots: so the vector's
+    lowest bit is source i's pivot, set in no other vector of the result.
     """
     echelon: list[tuple[int, int, int]] = []
     kernel = []
-    for image, source in zip(images, sources, strict=True):
+    for image, source in zip(reversed(images), reversed(sources), strict=True):
         for pivot, row, row_source in echelon:
             if image & pivot:
                 image ^= row
@@ -136,13 +142,14 @@ def kernel_vectors(images, sources) -> list[int]:
             echelon.append((image & -image, image, source))
         else:
             kernel.append(source)
+    kernel.reverse()
     return kernel
 
 
 def kernel_basis(columns) -> Subspace:
     """Kernel of the map with the given columns; dim = len(columns) - rank."""
-    units = [1 << i for i in range(len(columns))]
-    return Subspace.from_vectors(kernel_vectors(columns, units), len(columns))
+    units = [1 << i for i in range(len(columns))]   # RREF: so is the kernel
+    return Subspace(len(columns), tuple(kernel_vectors(columns, units)))
 
 
 def image_basis(columns) -> Subspace:
@@ -177,13 +184,13 @@ def solve(rows, target: int) -> int | None:
     """Coefficients ``x`` with ``combine(x, rows) == target``, or ``None``.
 
     ``rows`` spans the candidate space; the solution is unique when the rows
-    are independent.  The target is eliminated after the rows, with unit
-    sources: it lies in their span exactly when it leaves a kernel vector
-    with its own bit n set, and the other bits are the coefficients.
+    are independent.  Listed target first and rows reversed, the target is
+    eliminated last, with unit sources: it is in their span exactly when the
+    first kernel vector has its bit n set; the other bits are the coefficients.
     """
     rows = list(rows)
     n = len(rows)
-    kernel = kernel_vectors(rows + [target], [1 << i for i in range(n + 1)])
-    if kernel and kernel[-1] >> n & 1:
-        return kernel[-1] ^ (1 << n)
+    kernel = kernel_vectors([target, *reversed(rows)], [1 << i for i in range(n, -1, -1)])
+    if kernel and kernel[0] >> n & 1:
+        return kernel[0] ^ (1 << n)
     return None

@@ -28,8 +28,9 @@ its reason (``GUARD_REASONS``) are read from the finding.
 Only what d_r moves is recomputed, since E_{r+1} equals E_r where d_r is
 zero: ``run_case`` steps only the pages where some generator transgresses,
 and ``pages()`` gives an idle page the previous page's cells.  On an active
-page each stored cell has one successor, shared by every column that reads
-it and receives no image, as E_2's rows of one width share one cell.
+page each distinct (cell, target, d_r row) has one successor, shared by
+every column that reads it and receives no image, as E_2's rows of one
+width share one cell.
 Across the runs on one fiber, each page turn that succeeds is made once:
 assignments that agree on their targets up to page r share E_{r+1} through
 the fiber's page table.
@@ -469,21 +470,20 @@ def _check_targets_alive(page: Page, active: dict[str, Element]):
     for name, tgt in active.items():
         # a generator that is zero in the algebra has no degree of its own
         gen_deg = fiber.generators[fiber.gen_index[name]].degree
-        if not _is_nonzero_class(page, 0, gen_deg, fiber.gen(name)):
+        position = fiber.basis_index(gen_deg)
+        gen_vec = sum(1 << position[m] for m in fiber.reduce_mono(fiber.gen_mono(name)))
+        if not _is_nonzero_class(page, 0, gen_deg, gen_vec):
             raise SpectralModelError(
                 f"generator {name} no longer represents a class on page {r}")
-        if not _is_nonzero_class(page, r, tgt.degree, tgt):
+        if not _is_nonzero_class(page, r, tgt.degree, fiber.to_vector(tgt, tgt.degree)):
             raise SpectralModelError(
                 f"declared target {_transgression_text(r, tgt)} for {name} is not a "
                 f"nonzero class on page {r}")
 
 
-def _is_nonzero_class(page: Page, p: int, q: int, elem: Element) -> bool:
+def _is_nonzero_class(page: Page, p: int, q: int, vec: int) -> bool:
     cell = page.cell(p, q)
-    if cell is None:
-        return False
-    vec = page.fiber.to_vector(elem, q)
-    return cell.cycles.contains(vec) and not cell.boundaries.contains(vec)
+    return cell is not None and cell.cycles.contains(vec) and not cell.boundaries.contains(vec)
 
 
 def turn_page(page: Page, diff: PageDifferential) -> Page:
@@ -496,12 +496,16 @@ def turn_page(page: Page, diff: PageDifferential) -> Page:
 
     A moving cell costs one elimination of the pairs (image reduced modulo
     the target's boundaries, cycle) (``gf2.kernel_vectors``), which gives
-    the cycles whose image is a boundary, in E_2 coordinates.  Each stored
-    cell gets one successor: itself where d_r leaves its cycles alone, else
-    the cell of the new cycles and the old boundaries.  Stored column c < S
-    fills column c of the new page, and column S fills S..S'; a position
-    that receives images gets the successor's cycles and its boundaries
-    plus the images, and every other one shares the successor itself.
+    the cycles whose image is a boundary, in E_2 coordinates and in RREF.
+    Each distinct (cell, target, d_r row) has one successor and one list of
+    nonzero images, made at its first position in (p, q) order once its
+    checks pass: itself where d_r leaves its cycles alone, else the cell of
+    the new cycles and the old boundaries.  Stored column c < S fills
+    column c of the new page, and column S fills S..S'; a position that
+    receives images gets the successor's cycles and its boundaries plus the
+    images, one cell per list of images (which fixes the successor: the
+    receiver is the list's target, its own target and row the list's square
+    cell and row), and every other one shares the successor itself.
     S' = S + r, or S when d_r moves nothing at all.
 
     Checks, in order, wherever d_r moves something: per cycle, its image is
@@ -523,15 +527,20 @@ def turn_page(page: Page, diff: PageDifferential) -> Page:
     matrices = diff.row_matrices
     moving = {q for q, matrix in matrices.items() if any(matrix)}
     successors: dict[tuple[int, int], Cell] = {}   # by stored cell
-    images: dict[tuple[int, int], list[int]] = {}   # nonzero images, by source cell
+    images: dict[tuple[int, int], list[int]] = {}   # nonzero images, by moving cell
+    # (cell, target, square cell, d_r rows) -> (successor, nonzero images)
+    turned = {}     # cells by id: page.cells keeps them alive for the turn
     for pos in sorted(page.cells):
         p, q = pos
         cell = successors[pos] = page.cells[pos]
         tgt_cell = page.cell(p + r, q + 1 - r) if q in moving else None
-        if tgt_cell is not None:
-            matrix, square = matrices[q], matrices.get(q + 1 - r)
+        if tgt_cell is None:
+            continue
+        matrix, square = matrices[q], matrices.get(q + 1 - r)
+        cell2 = page.cell(p + 2 * r, q + 2 - 2 * r)
+        key = (id(cell), id(tgt_cell), id(cell2), tuple(matrix), tuple(square or ()))
+        if key not in turned:
             tgt_cycles, tgt_boundaries = tgt_cell.cycles, tgt_cell.boundaries
-            cell2 = page.cell(p + 2 * r, q + 2 - 2 * r)
             nonzero, reduced = [], []
             for vec in cell.cycles.basis:
                 raw = gf2.combine(vec, matrix)
@@ -551,19 +560,23 @@ def turn_page(page: Page, diff: PageDifferential) -> Page:
                 if image and not tgt_boundaries.contains(image):
                     raise SpectralModelError(
                         f"differential at ({p},{q}) is not well defined on cosets")
-            if any(reduced):
-                successors[pos] = Cell(gf2.Subspace.from_vectors(
-                    gf2.kernel_vectors(reduced, cell.cycles.basis), cell.cycles.ambient_dim),
-                    cell.boundaries)
-            if nonzero:
-                images[pos] = nonzero
-    new_stable = stable + r if images else stable
+            successor, width = cell, cell.cycles.ambient_dim
+            if any(reduced):    # RREF cycles give the RREF kernel (gf2.kernel_vectors)
+                kernel = tuple(gf2.kernel_vectors(reduced, cell.cycles.basis))
+                if any(v >> width for v in kernel):
+                    raise ValueError("vector does not fit the ambient dimension")
+                successor = Cell(gf2.Subspace(width, kernel), cell.boundaries)
+            turned[key] = successor, nonzero
+        successors[pos], images[pos] = turned[key]
+    new_stable = stable + r if any(images.values()) else stable
     new_cells = {}
+    received = {}   # cells by id of their images, which `turned` keeps alive
     for (p, q), successor in successors.items():
         for column in range(p, new_stable + 1) if p == stable else (p,):
             incoming = images.get((column - r, q + r - 1))
-            new_cells[(column, q)] = successor if incoming is None else Cell(
-                successor.cycles, successor.boundaries.add(incoming))
+            if incoming and id(incoming) not in received:
+                received[id(incoming)] = Cell(successor.cycles, successor.boundaries.add(incoming))
+            new_cells[(column, q)] = received[id(incoming)] if incoming else successor
     return Page(page.fiber, r + 1, new_stable, new_cells)
 
 

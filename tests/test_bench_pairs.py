@@ -1,6 +1,9 @@
-"""``tools/bench_pairs.py``'s claim and regression rules on fixed numbers."""
+"""``tools/bench_pairs.py``'s claim and regression rules and its JSON report, on fixed numbers."""
 
 import importlib.util
+import json
+import os
+import platform
 from pathlib import Path
 
 import pytest
@@ -64,3 +67,39 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
     # unless every run of the change reads better than every run of the parent
     assert not decide(parent, [0.040] * 6, "lower", 0.25)["unresolved"]
     assert not decide(PARENT, PARENT[::-1], "lower", 0.25)["unresolved"]
+
+
+def test_the_report_holds_the_runs_the_settings_and_the_verdicts():
+    tool = load_tool()
+    metrics = [{"name": "verdicts_per_s", "better": "higher", "bound": 0.2},
+               {"name": "call_p90_ms", "better": "lower", "bound": 0.25}]
+    values = {"parent": {"verdicts_per_s": [100.0, 102.0, 98.0],
+                         "call_p90_ms": [0.70, 0.72, 0.71]},
+              "change": {"verdicts_per_s": [110.0, 111.0, 109.0],
+                         "call_p90_ms": [0.90, 0.91, 0.92]}}
+    out = tool.report("wall_grid", 0, 30.0, {"parent": "abc", "change": None},
+                      metrics, values, {"parent": [2, 10], "change": [1, 10]})
+    # the line is plain JSON: it survives a round trip unchanged
+    assert json.loads(json.dumps(out)) == out
+    assert {k: out[k] for k in ("workload", "seed", "seconds", "pairs", "commits")} == {
+        "workload": "wall_grid", "seed": 0, "seconds": 30.0, "pairs": 3,
+        "commits": {"parent": "abc", "change": None}}
+    assert out["cpu_count"] == os.cpu_count()
+    assert out["python"] == platform.python_version()
+    rate = out["metrics"]["verdicts_per_s"]
+    assert rate["parent"] == [100.0, 102.0, 98.0] and rate["change"] == [110.0, 111.0, 109.0]
+    assert rate["parent_quartiles"] == pytest.approx([99.0, 100.0, 101.0])
+    assert rate["change_quartiles"] == pytest.approx([109.5, 110.0, 110.5])
+    assert (rate["wins"], rate["claim"], rate["regression"], rate["unresolved"]) == (
+        3, True, False, False)
+    p90 = out["metrics"]["call_p90_ms"]
+    assert (p90["better"], p90["bound"]) == ("lower", 0.25)
+    assert (p90["wins"], p90["claim"], p90["regression"], p90["unresolved"]) == (
+        0, False, True, False)
+    assert out["raised_share"] == {"parent": 0.2, "change": 0.1}
+
+
+def test_a_directory_that_is_no_checkout_has_no_commit(tmp_path):
+    tool = load_tool()
+    assert tool.commit_of(tmp_path) is None
+    assert tool.commit_of(TOOL.parent) is None   # inside a checkout, not its root

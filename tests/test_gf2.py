@@ -153,6 +153,81 @@ class TestKernelVectors:
             kernel_vectors([0, 0], [vec([1])])
 
 
+def kernel_vectors_forward(images, sources):
+    """``kernel_vectors`` as it was before it ran from the last pair to the
+    first: a forward elimination, whose kernel vectors are not reduced."""
+    echelon, kernel = [], []
+    for image, source in zip(images, sources, strict=True):
+        for pivot, row, row_source in echelon:
+            if image & pivot:
+                image ^= row
+                source ^= row_source
+        if image:
+            echelon.append((image & -image, image, source))
+        else:
+            kernel.append(source)
+    return kernel
+
+
+def solve_forward(rows, target):
+    """``solve`` as it was: the target eliminated after the rows, forward."""
+    n = len(rows)
+    kernel = kernel_vectors_forward(rows + [target], [1 << i for i in range(n + 1)])
+    if kernel and kernel[-1] >> n & 1:
+        return kernel[-1] ^ (1 << n)
+    return None
+
+
+@st.composite
+def wide_kernel_cases(draw):
+    """(n, images, sources): sources an RREF basis of width n in 1..200 with
+    up to 12 rows, and one image each, of width 1..200, a combination of up
+    to 4 drawn vectors, so zero and dependent images are common.  Vectors
+    are dense or have one to three bits set, so pivots spread over the
+    width."""
+    rng = draw(st.randoms(use_true_random=False))
+    n, m = draw(st.integers(1, 200)), draw(st.integers(1, 200))
+
+    def vector(width):
+        if rng.random() < 0.5:
+            return rng.getrandbits(width)
+        return sum(1 << bit for bit in rng.sample(range(width), min(width, rng.randint(1, 3))))
+
+    sources = list(Subspace.from_vectors(
+        [vector(n) for _ in range(rng.randint(0, 12))], n).basis)
+    spanning = [vector(m) for _ in range(rng.randint(0, 4))]
+    images = [combine(rng.getrandbits(len(spanning)), spanning) for _ in sources]
+    return n, images, sources
+
+
+class TestRrefKernel:
+    """On RREF sources ``kernel_vectors`` gives the kernel's RREF basis, so
+    ``kernel_basis`` and ``turn_page`` take it with no second ``rref``;
+    ``solve`` reads the same elimination in another order."""
+
+    @given(wide_kernel_cases())
+    @settings(max_examples=200)
+    def test_kernel_vectors_are_the_rref_kernel(self, case):
+        n, images, sources = case
+        kernel = kernel_vectors(images, sources)
+        assert kernel == rref(kernel)
+        assert Subspace(n, tuple(kernel)) == kernel_by_relations(images, sources, n)
+        assert Subspace(n, tuple(kernel)) == Subspace.from_vectors(
+            kernel_vectors_forward(images, sources), n)
+
+    @given(wide_kernel_cases(), st.randoms(use_true_random=False))
+    @settings(max_examples=200)
+    def test_kernel_basis_and_solve_keep_their_answers(self, case, rng):
+        _, columns, _ = case
+        units = [1 << i for i in range(len(columns))]
+        assert kernel_basis(columns) == Subspace.from_vectors(
+            kernel_vectors_forward(columns, units), len(columns))
+        width = max((v.bit_length() for v in columns), default=0)
+        for target in (0, combine(rng.getrandbits(len(columns)), columns),
+                       rng.getrandbits(width + 1)):
+            assert solve(columns, target) == solve_forward(columns, target)
+
+
 class TestImage:
     def test_zero_matrix(self):
         assert image_basis([0, 0]).dim == 0

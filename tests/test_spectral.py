@@ -1396,8 +1396,11 @@ def hand_built_turns(draw):
     """A page E_r and a d_r drawn at random on one of ``HAND_BUILT_FIBERS``:
     S in 0..4 and r in 2..top + 1, a cell of random cycles and boundaries
     inside them at every stored (p, q) whose row is not empty, and random
-    row matrices.  Most are no spectral sequence at all, so most turns
-    raise."""
+    row matrices.  Cells are drawn from a pool of one to three per row
+    width, so one ``Cell`` object stands at many positions, and each row
+    matrix is a copy of one of one or two per shape, so rows agree by value;
+    that is what ``turn_page`` shares.  Many are no spectral sequence at
+    all, so many turns raise."""
     fiber = draw(st.sampled_from(HAND_BUILT_FIBERS))
     rng = draw(st.randoms(use_true_random=False))
     top = fiber.top_degree
@@ -1407,15 +1410,22 @@ def hand_built_turns(draw):
     def vectors(count, width):
         return [rng.getrandbits(width) for _ in range(count)]
 
-    cells = {}
-    for p, q in itertools.product(range(stable + 1), range(top + 1)):
-        n = widths[q]
-        if n:
-            cycles = gf2.Subspace.from_vectors(vectors(rng.randint(0, n), n), n)
-            chosen = vectors(rng.randint(0, cycles.dim), cycles.dim)
-            cells[(p, q)] = Cell(cycles, gf2.Subspace.from_vectors(
-                [gf2.combine(c, cycles.basis) for c in chosen], n))
-    rows = {q: vectors(widths[q], widths[q + 1 - r]) for q in range(r - 1, top + 1)}
+    def random_cell(n):
+        cycles = gf2.Subspace.from_vectors(vectors(rng.randint(0, n), n), n)
+        chosen = vectors(rng.randint(0, cycles.dim), cycles.dim)
+        return Cell(cycles, gf2.Subspace.from_vectors(
+            [gf2.combine(c, cycles.basis) for c in chosen], n))
+
+    cell_pool = {n: [random_cell(n) for _ in range(rng.randint(1, 3))] for n in set(widths) if n}
+    cells = {(p, q): rng.choice(cell_pool[widths[q]])
+             for p, q in itertools.product(range(stable + 1), range(top + 1)) if widths[q]}
+    row_pool = {}
+    for q in range(r - 1, top + 1):
+        shape = (widths[q], widths[q + 1 - r])
+        if shape not in row_pool:
+            row_pool[shape] = [vectors(*shape) for _ in range(rng.randint(1, 2))]
+    rows = {q: list(rng.choice(row_pool[(widths[q], widths[q + 1 - r])]))
+            for q in range(r - 1, top + 1)}
     active = {fiber.generators[0].name: fiber.unit()}
     return Page(fiber, r, stable, cells), PageDifferential(r, active, rows)
 
@@ -1464,8 +1474,11 @@ class TestTurnPageShortcut:
         # The reference still checks that every new cell's boundaries lie in
         # its cycles, after the cycle, square-zero and coset checks; the
         # engine does not, so an equal first error shows that check never
-        # fires first.  The reference grows S by r even where d_r moves
-        # nothing, so the cells are compared column by column up to its S.
+        # fires first.  The engine checks a row shared by several positions
+        # at the first of them only, the reference at every one, so an equal
+        # error also names the same position.  The reference grows S by r
+        # even where d_r moves nothing, so the cells are compared column by
+        # column up to its S.
         page, diff = turn
         engine, engine_out = turn_or_error(turn_page, page, diff)
         reference, reference_out = turn_or_error(turn_page_by_every_cell, page, diff)
@@ -1476,6 +1489,43 @@ class TestTurnPageShortcut:
             for p, q in itertools.product(range(reference.stable + 1),
                                           range(page.fiber.top_degree + 1)):
                 assert engine.cell(p, q) == reference.cell(p, q), (p, q)
+
+    def test_q59_first_page_turns_share_rows(self):
+        # Q(5, 9)'s four first-page turns: E_2's rows of one width share one
+        # cell, and above row 6 the d_r rows repeat with period 4, so rows
+        # four apart have one cell, target cell, square cell and d_r row and
+        # share one successor, a new cell, in column 0, which receives nothing
+        q59 = wall_presentation(5, 9)
+        by_id, e2 = assignments_by_id(q59), build_e2(q59)
+        for case, r, shared in (("B1", 2, (7, 11, 15, 19)), ("B2", 2, (8, 12, 16)),
+                                ("B3", 2, (10, 14, 18)), ("A", 3, (9, 13, 17))):
+            page = Page(q59, r, e2.stable, e2.cells)
+            diff = extend_by_leibniz(page, by_id[case])
+            engine, reference = turn_page(page, diff), turn_page_by_every_cell(page, diff)
+            successor = engine.cells[(0, shared[0])]
+            assert successor is not e2.cells[(0, shared[0])], case
+            assert all(engine.cells[(0, q)] is successor for q in shared), case
+            for p, q in itertools.product(range(reference.stable + 1),
+                                          range(q59.top_degree + 1)):
+                assert engine.cell(p, q) == reference.cell(p, q), (case, p, q)
+
+    def test_a_shared_row_is_checked_with_its_own_square_cell_and_row(self):
+        # F2[a]/(a^5), |a| = 1: rows 0..4 of width 1, d_2 of a row's class
+        # is the class below.  Rows 3 and 4 read one cell, one target cell
+        # and one d_2 row; the first passes square zero and the second does
+        # not, once through its square cell, once through its square row
+        fiber = AlgebraPresentation([("a", 1)], [((5,), ())], name="a1^5")
+        alive = Cell(gf2.Subspace.full(1), gf2.Subspace.zero(1))
+        hit = Cell(gf2.Subspace.full(1), gf2.Subspace.full(1))
+        error = ("eliminated", "page 2: the differential does not square to zero at (0,4)")
+        pages_and_rows = (
+            ({0: hit, 1: hit, 2: alive, 3: alive, 4: alive}, {1: [1], 2: [1], 3: [1], 4: [1]}),
+            ({q: alive for q in range(5)}, {1: [0], 2: [0], 3: [1], 4: [1]}))
+        for cells, rows in pages_and_rows:
+            page = Page(fiber, 2, 0, {(0, q): cell for q, cell in cells.items()})
+            diff = PageDifferential(2, {"a": fiber.unit()}, rows)
+            assert turn_or_error(turn_page, page, diff) == (None, error)
+            assert turn_or_error(turn_page_by_every_cell, page, diff) == (None, error)
 
     def test_coset_check_fires(self):
         # a hand-built E_2 of S^1 in which the class at (0,1) is also a
@@ -1493,21 +1543,24 @@ class TestTurnPageShortcut:
     def test_golden_pages_keep_boundaries_inside_cycles(self):
         # each assignment runs on a fresh copy of its fiber, so that it turns
         # its own pages rather than reading another's from the page table;
-        # within a run pages share cells, so each distinct cell is checked
-        # once, and the dict keeps the cells alive, so no id is reused
-        checked = {}
+        # within a run pages and positions share cells, so each distinct cell
+        # is checked once, and the dict keeps the cells alive, so no id is
+        # reused; the positions with boundaries are counted, not the cells,
+        # whose number falls as more positions share one
+        checked, positions = {}, 0
         for fiber in golden_fibers():
             for asgn in enumerate_assignments(fiber):
                 copy, asgn = on_fresh_copy(fiber, asgn)
                 try:
                     for page in pages(copy, asgn):
                         for cell in page.cells.values():
+                            positions += cell.boundaries.dim > 0
                             if id(cell) not in checked:
                                 checked[id(cell)] = cell
                                 assert cell.cycles.contains_subspace(cell.boundaries)
                 except (LeibnizInconsistency, SpectralModelError):
                     pass
-        assert sum(1 for cell in checked.values() if cell.boundaries.dim) > 2000
+        assert positions >= 28000
 
     def test_untouched_cells_are_the_previous_cells(self):
         # case A of Q(1, 3) is d_3(d) = t^3: rows 0 and 1 have no target row,

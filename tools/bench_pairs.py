@@ -24,8 +24,11 @@ Three verdicts are stated for each:
   than some run of the parent, so the runs spread too widely to tell.
 
 The share of calls that raised is compared too: a larger share on the
-change side is a regression.  It is a report: the exit status is 0 once
-every run is correct.  Standard library only.
+change side is a regression.  The last line printed is one JSON object
+(``report``): the settings, each checkout's git commit (null where git
+cannot read one), the machine's CPU count and Python version, and per
+metric both sides' values, quartiles, wins and verdicts.  It is a report:
+the exit status is 0 once every run is correct.  Standard library only.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ import argparse
 import compileall
 import json
 import math
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -67,6 +72,44 @@ def decide(parent: list[float], change: list[float], better: str, bound: float) 
             "claim": wins >= math.ceil(0.9 * len(parent)) and gain > p_q3 - p_q1,
             "regression": -gain > bound * abs(p_med),
             "unresolved": spread > bound * abs(p_med) and not separated}
+
+
+def commit_of(root: Path) -> str | None:
+    """The commit checked out at ``root``, or None where ``root`` is no git
+    checkout of its own or git cannot read it."""
+    try:
+        done = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=root,
+                              capture_output=True, text=True)
+    except OSError:
+        return None
+    lines = done.stdout.split()
+    if done.returncode or len(lines) != 2 or Path(lines[0]).resolve() != root.resolve():
+        return None
+    return lines[1]
+
+
+def report(workload: str, seed: int, seconds: float, commits: dict, metrics: list,
+           values: dict, failed: dict) -> dict:
+    """The JSON object of one comparison.
+
+    ``metrics`` are ``BENCHMARK.json``'s end-to-end entries, ``values[side][name]``
+    the side's value per pair, and ``failed[side]`` its (calls that raised,
+    calls made)."""
+    out = {"workload": workload, "seed": seed, "seconds": seconds,
+           "pairs": len(values["parent"][metrics[0]["name"]]),
+           "commits": commits, "cpu_count": os.cpu_count(),
+           "python": platform.python_version(), "metrics": {}}
+    for m in metrics:
+        name = m["name"]
+        d = decide(values["parent"][name], values["change"][name], m["better"], m["bound"])
+        out["metrics"][name] = {
+            "better": m["better"], "bound": m["bound"],
+            "parent": values["parent"][name], "change": values["change"][name],
+            "parent_quartiles": list(d["parent"]), "change_quartiles": list(d["change"]),
+            **{key: d[key] for key in ("wins", "claim", "regression", "unresolved")}}
+    out["raised_share"] = {side: raised / max(made, 1)
+                           for side, (raised, made) in failed.items()}
+    return out
 
 
 def compile_checkout(root: Path) -> None:
@@ -117,20 +160,23 @@ def main(argv=None) -> int:
             f"{m['name']} {values['parent'][m['name']][-1]:.4g} -> "
             f"{values['change'][m['name']][-1]:.4g}" for m in metrics), flush=True)
 
+    out = report(args.workload, args.seed, args.seconds,
+                 {side: commit_of(root) for side, root in roots.items()},
+                 metrics, values, failed)
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s")
     print(f"{'metric':<16} {'better':<7} {'parent q1 median q3':>30} "
           f"{'change q1 median q3':>30} {'wins':>6}  claim  regression")
-    for m in metrics:
-        d = decide(values["parent"][m["name"]], values["change"][m["name"]],
-                   m["better"], m["bound"])
-        sides = ["{:>9.4g} {:>9.4g} {:>9.4g}".format(*d[side]) for side in ("parent", "change")]
-        print(f"{m['name']:<16} {m['better']:<7} {sides[0]:>30} {sides[1]:>30} "
-              f"{d['wins']:>3}/{d['pairs']:<2}  {'holds' if d['claim'] else 'no':<5}  "
-              f"{'WORSE than ' + str(m['bound']) if d['regression'] else 'within bound'}"
+    for name, d in out["metrics"].items():
+        sides = ["{:>9.4g} {:>9.4g} {:>9.4g}".format(*d[f"{side}_quartiles"])
+                 for side in ("parent", "change")]
+        print(f"{name:<16} {d['better']:<7} {sides[0]:>30} {sides[1]:>30} "
+              f"{d['wins']:>3}/{out['pairs']:<2}  {'holds' if d['claim'] else 'no':<5}  "
+              f"{'WORSE than ' + str(d['bound']) if d['regression'] else 'within bound'}"
               f"{', unresolved' if d['unresolved'] else ''}")
-    shares = {side: raised / max(made, 1) for side, (raised, made) in failed.items()}
+    shares = out["raised_share"]
     print(f"calls that raised: parent {shares['parent']:.4f}, change {shares['change']:.4f}"
           + ("  WORSE" if shares["change"] > shares["parent"] else ""))
+    print(json.dumps(out))
     return 0
 
 
