@@ -188,7 +188,8 @@ class Page:
         return cell.dim if cell is not None else 0
 
     def total_dimension(self, j: int) -> int:
-        return self.total_dimensions(j)[j] if j >= 0 else 0
+        last = self.stable + self.fiber.top_degree     # the total is constant from here on
+        return self.total_dimensions(min(j, last))[-1] if j >= 0 else 0
 
     def total_dimensions(self, up_to: int) -> list[int]:
         """Total dimension in degrees 0..up_to, in one sweep over the cells: a
@@ -295,7 +296,7 @@ class CaseVerdict:
 
 # Page turns by fiber, shared by every run on that fiber.  The root, key None,
 # holds E_2; a key ``(r, DifferentialAssignment.prefix(r))`` maps to E_{r+1}
-# as ``(stable, cells)``.  E_r and d_r fix the relation guard, the alive
+# as ``(stable, cells)``.  E_r and d_r fix the relation guard, the target
 # check, the derivation matrices and the turn, and the key fixes both, so a
 # hit skips all four.  Only successful turns are stored, and no value holds
 # the fiber, which would keep the weak key alive for good.
@@ -443,6 +444,20 @@ def extend_by_leibniz(page: Page, assignment: DifferentialAssignment) -> PageDif
     broken by a later differential passes here and is reported on that later
     page: Q(1, 4) case A (``d_3(d) = t^3``) passes on E_2 and is rejected on
     E_3, where ``d^5 = 0`` but ``d(d^5) = t^3*d^4``.
+
+    Then each declared target must be a nonzero class of ``page``, else
+    ``SpectralModelError``.  Its generator g needs no check on a confluent
+    presentation, which all the arithmetic assumes (nf: the normal form; D_s:
+    page s's derivation).  Column 0 receives no image (d_s moves column p to
+    p + s), so nf(g) is a nonzero class there iff it is a nonzero cycle.  On
+    each active page s < r the guard passed for the same prefix (on a page
+    table hit, in an earlier run): D_s maps the ideal into itself, so
+    nf(D_s(nf(m))) = nf(D_s(m)) for every monomial m, and D_s(g) = 0 (g is
+    not active on s) keeps nf(g) a cycle.  Idle pages change nothing.  And
+    nf(g) != 0, or the page-r guard would give 0 = nf(D_r(g)) = t^r*target.
+    ``page`` is trusted to be the assignment's E_r: nothing checks a
+    hand-built page against the earlier pages' cycles, boundaries or targets,
+    and the retired generator check only caught one symptom of such a page.
     """
     fiber = page.fiber
     if assignment.fiber is not fiber:
@@ -458,32 +473,15 @@ def extend_by_leibniz(page: Page, assignment: DifferentialAssignment) -> PageDif
             raise LeibnizInconsistency(GuardFinding(
                 "leibniz", fiber, page=r, relation=rule,
                 values=(frozenset(lhs_terms), frozenset(rhs_terms))))
-    _check_targets_alive(page, active)
+    for name, tgt in active.items():
+        cell, vec = page.cell(r, tgt.degree), fiber.to_vector(tgt, tgt.degree)
+        if cell is None or not cell.cycles.contains(vec) or cell.boundaries.contains(vec):
+            raise SpectralModelError(f"declared target {_transgression_text(r, tgt)} for "
+                                     f"{name} is not a nonzero class on page {r}")
     # below row r - 1 the target degree q + 1 - r is negative, so no row moves
     rows = {q: _derivation_matrix(fiber, active, r, q)
             for q in range(r - 1, fiber.top_degree + 1)}
     return PageDifferential(r, active, rows)
-
-
-def _check_targets_alive(page: Page, active: dict[str, Element]):
-    fiber, r = page.fiber, page.r
-    for name, tgt in active.items():
-        # a generator that is zero in the algebra has no degree of its own
-        gen_deg = fiber.generators[fiber.gen_index[name]].degree
-        position = fiber.basis_index(gen_deg)
-        gen_vec = sum(1 << position[m] for m in fiber.reduce_mono(fiber.gen_mono(name)))
-        if not _is_nonzero_class(page, 0, gen_deg, gen_vec):
-            raise SpectralModelError(
-                f"generator {name} no longer represents a class on page {r}")
-        if not _is_nonzero_class(page, r, tgt.degree, fiber.to_vector(tgt, tgt.degree)):
-            raise SpectralModelError(
-                f"declared target {_transgression_text(r, tgt)} for {name} is not a "
-                f"nonzero class on page {r}")
-
-
-def _is_nonzero_class(page: Page, p: int, q: int, vec: int) -> bool:
-    cell = page.cell(p, q)
-    return cell is not None and cell.cycles.contains(vec) and not cell.boundaries.contains(vec)
 
 
 def turn_page(page: Page, diff: PageDifferential) -> Page:
@@ -620,9 +618,9 @@ def run_case(fiber: AlgebraPresentation, dim_x: int,
     """Drive one assignment to its limit page and return its verdict.
 
     It steps the active pages r <= top + 1.  E_{top + 2} must be zero in every
-    total degree above ``dim_x`` (the free-action vanishing bound); its totals
-    are constant from ``S + top`` on (column S stands for every later column),
-    so degrees ``dim_x + 1 .. max(dim_x + 1, dim_x + top, S + top)`` decide it.
+    total degree above ``dim_x`` (the free-action vanishing bound), checked in
+    ``dim_x + 1 .. max(dim_x + 1, dim_x + top, S + top)``; the totals are read
+    only through ``S + top``, as column S stands for every later column.
     """
     if assignment.fiber is not fiber:
         raise ValueError("assignment belongs to a different fiber")
@@ -643,9 +641,9 @@ def run_case(fiber: AlgebraPresentation, dim_x: int,
     except LeibnizInconsistency as exc:
         return CaseVerdict(assignment, exc.finding)
     page = Page(fiber, top + 2, stable, cells)
+    totals = page.total_dimensions(stable + top)
     last = max(dim_x + 1, dim_x + top, stable + top)
-    totals = page.total_dimensions(last)
-    violations = [j for j in range(dim_x + 1, last + 1) if totals[j] > 0]
+    violations = [j for j in range(dim_x + 1, last + 1) if totals[min(j, stable + top)] > 0]
     if not violations:
         return CaseVerdict(assignment, None, page)
     return CaseVerdict(assignment, GuardFinding("vanishing", fiber, degrees=tuple(violations),

@@ -32,6 +32,7 @@ from orbitcoh.algebra import (
     AlgebraPresentation,
     Element,
     PresentationError,
+    base_presentation,
     dold_presentation,
     parse_presentation,
     wall_presentation,
@@ -225,6 +226,12 @@ class TestEnumeration:
         [record] = classify(cp3)
         assert record.candidate == candidate(cp3, c="c", d="d")
         assert (record.stage, record.reason) == (None, "no obstruction found (not eliminated)")
+
+    def test_an_infinite_algebra_is_refused(self):
+        with pytest.raises(ValueError) as info:
+            enumerate_candidates(base_presentation())
+        assert (info.type, str(info.value)) == (
+            ValueError, "candidate enumeration needs a finite algebra")
 
     def test_no_actions_grid_generator_is_zero(self):
         # so the zero generator's one image changes no candidate there, and
@@ -634,9 +641,16 @@ class TestBredonWitnessIsABasisMonomial:
     witness.
     """
 
-    def test_actions_grid_records(self):
+    @pytest.mark.parametrize("m, pins", [(0, (0, 0)), (1, (68, 18)), (2, (0, 0)),
+                                         (3, (100, 18)), (4, (0, 0)), (5, (96, 24))],
+                             ids=[f"m={m}" for m in range(6)])
+    def test_actions_grid_records(self, m, pins):
+        # for even m the top degree m + 2n + 1 is odd, so the walk never runs;
+        # the pins sum to (264, 60) over the 100 pairs
         reached = witnesses = 0
         for report in actions_grid_reports():
+            if report.m != m:
+                continue
             for r in report.records:
                 if r.stage not in (None, "fixed_point_obstruction") or \
                         r.reason.startswith("fixed-point obstruction inapplicable"):
@@ -652,7 +666,7 @@ class TestBredonWitnessIsABasisMonomial:
                         f"a = {expected.middle_class} has a * T(a) = {expected.product} != 0")
                 assert (r.stage, r.reason) == text, where
                 witnesses += expected is not None
-        assert (reached, witnesses) == (264, 60)
+        assert (reached, witnesses) == pins
 
     @given(monomial_presentations().filter(
         lambda p: p.top_degree <= 12 and p.top_degree % 2 == 0))

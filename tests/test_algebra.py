@@ -621,6 +621,41 @@ class TestValidation:
         with pytest.raises(TypeError):
             op(x, other)
 
+    def test_rejects_a_rule_of_degree_zero(self):
+        with pytest.raises(PresentationError) as info:
+            AlgebraPresentation([("x", 1)], [((0,), ())])
+        assert str(info.value) == "rule left-hand side must have positive degree"
+
+    def test_gen_refuses_an_unknown_name(self):
+        with pytest.raises(PresentationError) as info:
+            wall_presentation(1, 3).gen("y")
+        assert str(info.value) == "unknown generator 'y'"
+
+    def test_parse_mono_refuses_a_bad_factor(self):
+        with pytest.raises(PresentationError) as info:
+            wall_presentation(1, 3).parse_mono("x*2c")
+        assert str(info.value) == "cannot parse monomial factor '2c'"
+
+    @pytest.mark.parametrize("op", [operator.add, operator.mul], ids=["add", "mul"])
+    def test_arithmetic_across_presentations_is_refused(self, op):
+        x13, x23 = wall_presentation(1, 3).gen("x"), wall_presentation(2, 3).gen("x")
+        with pytest.raises(ValueError) as info:
+            op(x13, x23)
+        assert (info.type, str(info.value)) == (
+            ValueError, "elements belong to different presentations")
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: wall_presentation(-1, 3), "wall presentation needs m, n >= 0"),
+        (lambda: wall_presentation(1, -1), "wall presentation needs m, n >= 0"),
+        (lambda: dold_presentation(-1, 0), "dold presentation needs m, n >= 0"),
+        (lambda: dold_presentation(0, -1), "dold presentation needs m, n >= 0"),
+        (lambda: sphere_presentation(0), "sphere presentation needs n >= 1"),
+    ], ids=["wall-m", "wall-n", "dold-m", "dold-n", "sphere"])
+    def test_builders_refuse_negative_arguments(self, build, message):
+        with pytest.raises(PresentationError) as info:
+            build()
+        assert str(info.value) == message
+
     def test_to_vector_rejects_element_of_another_presentation(self):
         # Q(2, 3)'s d would otherwise read as bit 1 of Q(1, 3)'s degree-2 basis
         q13, q23 = wall_presentation(1, 3), wall_presentation(2, 3)
@@ -656,6 +691,16 @@ class TestTextFormat:
         ]
         assert set(back.rules) == set(q23.rules)
         assert back.top_degree == q23.top_degree
+
+    @pytest.mark.parametrize("text, message", [
+        ("gen x\n", "line 1: expected 'gen <name> <degree>'"),
+        ("gen x one\n", "line 1: bad degree 'one'"),
+        ("gen x 1\nrel x^2\n", "line 2: expected 'rel <monomial> = <polynomial>'"),
+    ], ids=["gen-fields", "gen-degree", "rel-without-equals"])
+    def test_malformed_lines_are_refused(self, text, message):
+        with pytest.raises(PresentationError) as info:
+            parse_presentation(text)
+        assert str(info.value) == message
 
     def test_parse_relation_polynomial(self):
         text = "gen x 1\ngen c 1\nrel x^2 = 0\nrel c^2 = c*x\n"

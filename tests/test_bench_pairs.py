@@ -77,13 +77,15 @@ def test_the_report_holds_the_runs_the_settings_and_the_verdicts():
                          "call_p90_ms": [0.70, 0.72, 0.71]},
               "change": {"verdicts_per_s": [110.0, 111.0, 109.0],
                          "call_p90_ms": [0.90, 0.91, 0.92]}}
-    out = tool.report("wall_grid", 0, 30.0, {"parent": "abc", "change": None},
+    sources = {"parent": "0" * 64, "change": "f" * 64}
+    out = tool.report("wall_grid", 0, 30.0, {"parent": "abc", "change": None}, sources,
                       metrics, values, {"parent": [2, 10], "change": [1, 10]})
     # the line is plain JSON: it survives a round trip unchanged
     assert json.loads(json.dumps(out)) == out
-    assert {k: out[k] for k in ("workload", "seed", "seconds", "pairs", "commits")} == {
+    assert {k: out[k] for k in ("workload", "seed", "seconds", "pairs", "commits",
+                                "sources")} == {
         "workload": "wall_grid", "seed": 0, "seconds": 30.0, "pairs": 3,
-        "commits": {"parent": "abc", "change": None}}
+        "commits": {"parent": "abc", "change": None}, "sources": sources}
     assert out["cpu_count"] == os.cpu_count()
     assert out["python"] == platform.python_version()
     rate = out["metrics"]["verdicts_per_s"]
@@ -103,3 +105,28 @@ def test_a_directory_that_is_no_checkout_has_no_commit(tmp_path):
     tool = load_tool()
     assert tool.commit_of(tmp_path) is None
     assert tool.commit_of(TOOL.parent) is None   # inside a checkout, not its root
+
+
+def write_tree(root, files):
+    for rel, data in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_bytes(data)
+
+
+def test_the_source_digest_reads_the_bytes_of_src_and_bench(tmp_path):
+    source_digest = load_tool().source_digest
+    files = {"src/orbitcoh/spectral.py": b"x = 1\n", "src/orbitcoh/gf2.py": b"y = 2\n",
+             "bench/run.py": b"print()\n"}
+    one, two = tmp_path / "one", tmp_path / "two"
+    write_tree(one, files)
+    write_tree(two, {**files, "README.md": b"not source\n", "tests/test_x.py": b"pass\n"})
+    assert source_digest(one) == source_digest(two)
+    assert len(source_digest(one)) == 64
+    # one changed byte gives another digest
+    write_tree(two, {"src/orbitcoh/gf2.py": b"y = 3\n"})
+    assert source_digest(two) != source_digest(one)
+    # and so does a file moved between the two directories
+    write_tree(two, {"src/orbitcoh/gf2.py": b"y = 2\n"})
+    assert source_digest(two) == source_digest(one)
+    (two / "bench" / "run.py").rename(two / "src" / "orbitcoh" / "run.py")
+    assert source_digest(two) != source_digest(one)

@@ -271,6 +271,12 @@ class TestSubquotient:
         with pytest.raises(ValueError):
             subquotient(kernel, image)
 
+    def test_rejects_spaces_of_different_widths(self):
+        with pytest.raises(ValueError) as info:
+            subquotient(Subspace.full(3), Subspace.zero(2))
+        assert (info.type, str(info.value)) == (
+            ValueError, "kernel and image live in different ambient spaces")
+
     @given(small_matrices, st.data())
     def test_reduce_is_the_class_in_coset_coordinates(self, m, data):
         # a class named by B.reduce(v) is the class that the solve against

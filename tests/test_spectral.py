@@ -15,7 +15,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_actions import monomial_presentations, renamed
+from test_actions import (
+    decomposable_generators,
+    monomial_presentations,
+    reducible_right_side,
+    renamed,
+)
 
 from orbitcoh import gf2, spectral
 from orbitcoh.algebra import (
@@ -23,6 +28,7 @@ from orbitcoh.algebra import (
     Element,
     base_presentation,
     dold_presentation,
+    parse_presentation,
     sphere_presentation,
     wall_presentation,
 )
@@ -336,6 +342,35 @@ class TestTargetGuards:
         assert str(err.value) == "differential image at (0,5) is not a cycle on page 3"
 
 
+class TestMismatchedInputs:
+    """An assignment of another fiber, and a differential of another page,
+    are refused with ``ValueError``."""
+
+    def test_extend_by_leibniz_refuses_an_assignment_of_another_fiber(self):
+        asgn = assignments_by_id(wall_presentation(1, 3))["A"]
+        with pytest.raises(ValueError) as info:
+            extend_by_leibniz(build_e2(wall_presentation(1, 3)), asgn)
+        assert (info.type, str(info.value)) == (
+            ValueError, "assignment belongs to a different fiber")
+
+    def test_run_case_refuses_an_assignment_of_another_fiber(self):
+        asgn = assignments_by_id(wall_presentation(1, 3))["A"]
+        with pytest.raises(ValueError) as info:
+            run_case(wall_presentation(1, 3), 8, asgn)
+        assert (info.type, str(info.value)) == (
+            ValueError, "assignment belongs to a different fiber")
+
+    def test_turn_page_refuses_a_differential_of_another_page(self):
+        # case A transgresses d on page 3; its page-2 differential is zero
+        q13 = wall_presentation(1, 3)
+        asgn = assignments_by_id(q13)["A"]
+        diff = extend_by_leibniz(build_e2(q13), asgn)
+        with pytest.raises(ValueError) as info:
+            turn_page(page_r(q13, asgn, 3), diff)
+        assert (info.type, str(info.value)) == (
+            ValueError, "differential was computed for a different page")
+
+
 class TestAssignmentChecks:
     """A hand-built ``DifferentialAssignment`` is checked when it is built."""
 
@@ -476,6 +511,27 @@ class TestRunCase:
             run_case(q13, dim_x, assignments_by_id(q13)["A"])
         with pytest.raises(ValueError, match="top degree 8, not "):
             analyze_all(q13, dim_x)
+
+    def test_a_huge_dim_x_reads_the_totals_through_s_plus_top_only(self, monkeypatch):
+        # the totals are constant from S + top on; a list as long as dim X
+        # would need gigabytes, so the spy refuses before it is built
+        inner = Page.total_dimensions
+
+        def spy(page, up_to):
+            assert up_to <= page.stable + page.fiber.top_degree, up_to
+            return inner(page, up_to)
+
+        monkeypatch.setattr(Page, "total_dimensions", spy)
+        q13 = wall_presentation(1, 3)
+        cases = assignments_by_id(q13)
+        assert run_case(q13, 10**9, cases["Z"]).detail == \
+            "nonzero classes in every degree 1000000001..1000000008"
+        survivor = run_case(q13, 10**9, cases["A"])
+        assert survivor.outcome == "survives"
+        limit = survivor.e_infinity
+        last = limit.stable + q13.top_degree
+        assert limit.total_dimension(10**9) == limit.total_dimension(last) == \
+            inner(limit, last)[-1]
 
     def test_circle_cases(self):
         s1 = sphere_presentation(1)
@@ -1029,6 +1085,95 @@ class TestRelationGuardReference:
     @settings(max_examples=60, deadline=None)
     def test_random_monomial_presentations(self, fiber):
         assert_guards_agree(fiber)
+
+
+def generator_is_a_class(page, name):
+    """The generator half of the alive check that ``extend_by_leibniz`` ran
+    before its target check, kept as the reference: the normal form of
+    generator ``name`` is a nonzero class of ``page`` at (0, deg name)."""
+    fiber = page.fiber
+    gen_deg = fiber.generators[fiber.gen_index[name]].degree
+    position = fiber.basis_index(gen_deg)
+    gen_vec = sum(1 << position[m] for m in fiber.reduce_mono(fiber.gen_mono(name)))
+    cell = page.cell(0, gen_deg)
+    return cell is not None and cell.cycles.contains(gen_vec) and \
+        not cell.boundaries.contains(gen_vec)
+
+
+REDUCIBLE_GENERATORS = {
+    "c=x": "gen x 1\ngen c 1\nrel c = x\nrel x^4 = 0\n",
+    "c=0": "gen x 1\ngen c 1\nrel c = 0\nrel x^3 = 0\n",
+    "c=x+y": "gen x 1\ngen y 1\ngen c 1\nrel c = x + y\nrel x^2 = 0\nrel y^2 = 0\n",
+    "d=0": "gen x 1\ngen d 2\nrel d = 0\nrel x^4 = 0\n",
+    "d=x^2": "gen x 1\ngen d 2\nrel d = x^2\nrel x^4 = 0\n",
+    "e=x*c": "gen x 1\ngen c 1\ngen e 2\nrel e = x*c\nrel x^2 = 0\nrel c^3 = 0\n",
+    "b=a,c=a+b": "gen a 1\ngen b 1\ngen c 1\nrel b = a\nrel c = a + b\nrel a^4 = 0\n",
+}
+
+
+def reducible_generators():
+    """Hand-written presentations whose relations rewrite a generator: to
+    another generator, to 0, to a sum or to a product."""
+    fibers = [parse_presentation(text, name) for name, text in REDUCIBLE_GENERATORS.items()]
+    assert all(fiber.check_confluence() is None for fiber in fibers)
+    return fibers
+
+
+def assert_transgressing_generators_are_classes(fibers):
+    """Walk ``pages()`` for every assignment of each fiber.  On every active
+    page r <= top + 1 where the reference relation guard passes, each
+    generator transgressing on page r is still a nonzero class: the branch
+    that ``extend_by_leibniz`` no longer runs would never fire.  Returns the
+    number of checks and of those on a generator that is no basis monomial."""
+    checks = off_basis = 0
+    for fiber in fibers:
+        for asgn in enumerate_assignments(fiber):
+            try:
+                for page in pages(fiber, asgn):
+                    r, active = page.r, asgn.active_at(page.r)
+                    if not active or r > fiber.top_degree + 1:
+                        continue
+                    try:
+                        relation_guard_by_elements(fiber, r, active)
+                    except ReferenceGuardViolation:
+                        break
+                    for name in active:
+                        assert generator_is_a_class(page, name), (fiber.name, asgn.case_id, r)
+                        degree = fiber.generators[fiber.gen_index[name]].degree
+                        checks += 1
+                        off_basis += fiber.gen_mono(name) not in fiber.basis_index(degree)
+            except (LeibnizInconsistency, SpectralModelError):
+                pass    # a later turn of this assignment fails
+    return checks, off_basis
+
+
+class TestTransgressingGeneratorsStayClasses:
+    """The proof in ``extend_by_leibniz``'s docstring, checked: after a
+    passing relation guard, every transgressing generator is a class."""
+
+    def test_golden_fibers(self):
+        # c is no basis monomial on Q(0, n), where c = x
+        assert assert_transgressing_generators_are_classes(golden_fibers()) == (572, 15)
+
+    def test_decomposable_and_reducible_generators(self):
+        fibers = [*decomposable_generators(), reducible_right_side(), *reducible_generators()]
+        assert assert_transgressing_generators_are_classes(fibers) == (196, 52)
+
+    def test_the_reference_sees_a_dead_generator_that_the_engine_trusts(self):
+        # a hand-built E_2 of S^1 whose (0, 1) has lost its cycles: the
+        # retired branch would have raised, and the target check passes
+        s1 = sphere_presentation(1)
+        e2 = build_e2(s1)
+        dead = Page(s1, 2, 0, {**e2.cells, (0, 1): Cell(gf2.Subspace.zero(1),
+                                                        gf2.Subspace.zero(1))})
+        assert generator_is_a_class(e2, "a") and not generator_is_a_class(dead, "a")
+        [asgn] = [a for a in enumerate_assignments(s1) if a.active_pages() == (2,)]
+        assert extend_by_leibniz(dead, asgn).r == 2
+
+    @given(monomial_presentations().filter(lambda p: p.top_degree <= 12))
+    @settings(max_examples=40, deadline=None)
+    def test_random_monomial_presentations(self, fiber):
+        assert_transgressing_generators_are_classes([fiber])
 
 
 def golden_fibers():

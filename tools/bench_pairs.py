@@ -26,8 +26,10 @@ Three verdicts are stated for each:
 The share of calls that raised is compared too: a larger share on the
 change side is a regression.  The last line printed is one JSON object
 (``report``): the settings, each checkout's git commit (null where git
-cannot read one), the machine's CPU count and Python version, and per
-metric both sides' values, quartiles, wins and verdicts.  It is a report:
+cannot read one) and the sha256 of its sources (``source_digest``), so a
+run on an uncommitted copy can still be matched to a commit, the machine's
+CPU count and Python version, and per metric both sides' values,
+quartiles, wins and verdicts.  It is a report:
 the exit status is 0 once every run is correct.  Standard library only.
 """
 
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import compileall
+import hashlib
 import json
 import math
 import os
@@ -88,16 +91,29 @@ def commit_of(root: Path) -> str | None:
     return lines[1]
 
 
-def report(workload: str, seed: int, seconds: float, commits: dict, metrics: list,
-           values: dict, failed: dict) -> dict:
+def source_digest(root: Path) -> str:
+    """The sha256 over the sorted relative paths and bytes of ``root``'s
+    ``src/orbitcoh/*.py`` and ``bench/*.py``: the code a side ran."""
+    digest = hashlib.sha256()
+    paths = [*root.glob("src/orbitcoh/*.py"), *root.glob("bench/*.py")]
+    for rel in sorted(path.relative_to(root).as_posix() for path in paths):
+        data = (root / rel).read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def report(workload: str, seed: int, seconds: float, commits: dict, sources: dict,
+           metrics: list, values: dict, failed: dict) -> dict:
     """The JSON object of one comparison.
 
+    ``commits`` and ``sources`` hold each side's commit and ``source_digest``;
     ``metrics`` are ``BENCHMARK.json``'s end-to-end entries, ``values[side][name]``
     the side's value per pair, and ``failed[side]`` its (calls that raised,
     calls made)."""
     out = {"workload": workload, "seed": seed, "seconds": seconds,
            "pairs": len(values["parent"][metrics[0]["name"]]),
-           "commits": commits, "cpu_count": os.cpu_count(),
+           "commits": commits, "sources": sources, "cpu_count": os.cpu_count(),
            "python": platform.python_version(), "metrics": {}}
     for m in metrics:
         name = m["name"]
@@ -162,6 +178,7 @@ def main(argv=None) -> int:
 
     out = report(args.workload, args.seed, args.seconds,
                  {side: commit_of(root) for side, root in roots.items()},
+                 {side: source_digest(root) for side, root in roots.items()},
                  metrics, values, failed)
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s")
     print(f"{'metric':<16} {'better':<7} {'parent q1 median q3':>30} "
